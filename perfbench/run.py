@@ -180,6 +180,10 @@ def main(argv=None) -> int:
         c, c_se = extra["C"]
         lines.append(f"{'time_to_accuracy_s':22s} {fmt(extra['time_to_accuracy_s']):>12s} {'s':5s}  "
                      f"to a 1% standard error on C = {fmt(c)} +- {fmt(c_se)}")
+    if "defect_probe" in extra:
+        probe = extra["defect_probe"]
+        lines.append(f"known defect, not gated: {probe['wrong']} of {sum(probe.values())} jittered points near "
+                     f"(0.1, 0.01, 0.1) and (0.1, 0.01, 0.01) get a wrong tilted law; outcomes {probe}")
     if "em_strict_misses" in extra:
         lines.append(f"E[M] enclosures missing the 50-digit oracle by less than their rounding bound: "
                      f"{extra['em_strict_misses']} of {info['succeeded']} successful ops")
