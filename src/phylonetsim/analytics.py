@@ -20,6 +20,7 @@ gives a lower bound, and the gap is at most prod_{k<=n} 1/rho_k.  All
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from .params import ModelParams
 
 DEPTH_START = 16
 DEPTH_CAP = 1 << 16
+EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,16 @@ class NuCircPmf:
 
 
 def expected_M(params: ModelParams, tol: float = 1e-12) -> CertifiedValue:
-    """Series evaluation of E[M] with a geometric tail majorant."""
+    """Series evaluation of E[M] with a geometric tail majorant.
+
+    The enclosure is widened outward by a forward rounding-error bound of
+    the depth-j evaluation.  Each level adds at most a few roundings to
+    rho_k, the running product and the sum, so the computed partial sum and
+    tail are within 4 (j + 1) eps of their exact values, relatively.  The
+    stopping test counts this widening, so the width is at most tol unless
+    tol lies below the rounding floor; then the series stops once the tail
+    is smaller than the rounding bound.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     s = 0.0
@@ -100,8 +111,9 @@ def expected_M(params: ModelParams, tol: float = 1e-12) -> CertifiedValue:
         r = 1.0 / params.rho(j + 1)
         if r < 1.0:
             tail = params.mu * w * r / (1.0 - r)
-            if tail <= tol:
-                return CertifiedValue(s, s + tail, j)
+            err = 4.0 * (j + 1) * EPS * (s + tail)
+            if tail <= max(tol - 2.0 * err, err):
+                return CertifiedValue(s - err, s + tail + err, j)
         if j > 10_000_000:
             raise NumericalFailure("expected_M series failed to converge")
 
@@ -261,6 +273,7 @@ def extinction_probability(params: ModelParams, tol: float = 1e-10) -> Certified
 
 
 _level_cache: dict = {}
+TABLE_LEVEL_CAP = 100_000
 
 
 def offspring_tables(params: ModelParams, m_max: int = 256, tol: float = 1e-14):
@@ -271,7 +284,9 @@ def offspring_tables(params: ModelParams, m_max: int = 256, tol: float = 1e-14):
     truncation level (chosen so the z=1 convergent gap is below tol)
     contribute no mutations.  Returns (P, R, n_trunc, defect) with P[k] the
     pmf of the mutation count of one k-excursion for k = 1..n_trunc+1 and
-    R[k] the pmf of its compound-geometric part.
+    R[k] the pmf of its compound-geometric part.  Raises NumericalFailure,
+    before building any table, when the truncation level would exceed
+    TABLE_LEVEL_CAP.
     """
     key = (params, m_max, tol)
     cached = _level_cache.get(key)
@@ -281,7 +296,13 @@ def offspring_tables(params: ModelParams, m_max: int = 256, tol: float = 1e-14):
         raise ValueError("m_max must be >= 0")
     n_trunc = 1
     w = 1.0 / params.rho(1)
-    while w > tol and n_trunc < 100_000:
+    while w > tol:
+        if n_trunc >= TABLE_LEVEL_CAP:
+            raise NumericalFailure(
+                f"offspring tables need more than {TABLE_LEVEL_CAP} levels at {params}: "
+                f"prod 1/rho_k is still {w:.3g} > tol {tol:g} (small beta keeps rho_k "
+                "near alpha + mu over many levels)"
+            )
         n_trunc += 1
         w /= params.rho(n_trunc)
     size = m_max + 1

@@ -198,30 +198,9 @@ def gw_size_probability(tilted_probs: np.ndarray, n: int, drop: float | None = N
     return p / n, discarded / n
 
 
-def brownian_excursion_max(
-    rng: RngStream, n_steps: int = 1_000_001, replicates: int = 200
-) -> Estimate:
-    """E[sup of the Brownian excursion] from rotated simple-random-walk bridges.
-
-    A uniform arrangement of up/down steps summing to -1 is rotated (cycle
-    lemma) into the unique first-passage path; its running maximum over
-    sqrt(n) estimates the excursion supremum.
-    """
-    if n_steps % 2 == 0:
-        n_steps += 1
-    m = (n_steps - 1) // 2
-    gen = rng.generator()
-    base = np.concatenate([np.ones(m, dtype=np.int64), -np.ones(m + 1, dtype=np.int64)])
-    vals = np.empty(replicates)
-    for i in range(replicates):
-        steps = gen.permutation(base)
-        prefix = np.cumsum(steps)
-        r = int(np.argmin(prefix)) + 1
-        if r < n_steps:
-            rotated = np.concatenate([steps[r:], steps[:r]])
-            prefix = np.cumsum(rotated)
-        vals[i] = prefix.max() / math.sqrt(n_steps)
-    return Estimate(float(vals.mean()), float(vals.std()) / math.sqrt(replicates), replicates)
+# E[sup of the standard Brownian excursion] = sqrt(pi/2) (Kennedy 1976,
+# J. Appl. Probab. 13).
+EXCURSION_SUP_MEAN = math.sqrt(math.pi / 2.0)
 
 
 def _crt_replicate(args):
@@ -247,16 +226,15 @@ def verify_crt_scaling(
     replicates: int,
     rng: RngStream,
     constants: CrtConstants | None = None,
-    excursion: Estimate | None = None,
     grid_size: int = 1024,
     workers: int = 1,
 ) -> dict:
     """Desk-scale CRT checks on n-color networks.
 
     Reports (a) mean |G_n|/n against ell, (b) rescaled mean maximum height
-    against (2 E[U*]/sigma_hat) E[sup e], and (c) the correlation and
-    rescaled sup deviation between the network height process and
-    E[U*] times the color-tree height process.  Replicates use one stream
+    against (2 E[U*]/sigma_hat) E[sup e] with E[sup e] = sqrt(pi/2), and
+    (c) the correlation and rescaled sup deviation between the network
+    height process and E[U*] times the color-tree height process.  Replicates use one stream
     each and are reduced in stream order, so results do not depend on the
     worker count.
     """
@@ -264,8 +242,6 @@ def verify_crt_scaling(
         raise ValueError("n must be >= 2")
     if constants is None:
         constants = crt_constants(params, rng.substream(900_001), n_samples=50_000)
-    if excursion is None:
-        excursion = brownian_excursion_max(rng.substream(900_002))
     eu = constants.EUstar.value
     sig = math.sqrt(constants.sigma_hat_sq)
     base = rng.substream(900_003)
@@ -288,7 +264,7 @@ def verify_crt_scaling(
         float(sizes.mean()), float(sizes.std()) / math.sqrt(replicates), replicates
     )
     mean_maxh = Estimate(float(maxh.mean()), float(maxh.std()) / math.sqrt(replicates), replicates)
-    target_maxh = 2.0 * eu / sig * excursion.value
+    target_maxh = 2.0 * eu / sig * EXCURSION_SUP_MEAN
     return {
         "n": n,
         "replicates": replicates,
@@ -298,7 +274,6 @@ def verify_crt_scaling(
         "mean_max_height_rescaled": mean_maxh.to_json_dict(),
         "max_height_target": target_maxh,
         "max_height_rel_err": abs(mean_maxh.value - target_maxh) / target_maxh,
-        "excursion_sup": excursion.to_json_dict(),
         "mean_sup_deviation_rescaled": float(supdev.mean()),
         "sup_deviation_se": float(supdev.std()) / math.sqrt(replicates),
         "mean_height_correlation": float(corr.mean()),

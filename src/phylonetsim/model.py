@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EventCapError, RetryBudgetError
+from .errors import EventCapError, NumericalFailure, RetryBudgetError
 from .params import ModelParams
 from .rng import BufferedRng, RngStream
 
@@ -233,6 +233,8 @@ def condition_on_mutations(
 
     Only the jump chain is simulated during rejection; holding times are
     attached to the accepted path (they are independent of the marks).
+    Kept as the test oracle of :func:`sample_conditioned_path`, which is
+    the sampler on the network path.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -256,7 +258,8 @@ def sample_conditioned_path(
     step, so the mutation budget can be split recursively using the
     precomputed per-state count pmfs.  Exact for the state-truncated model
     (truncation defect below 1e-14); excursions above the truncation level
-    are mutation-free by construction.
+    are mutation-free by construction.  Raises NumericalFailure when
+    P(M = m) is zero in the tables (m > m_max, or an underflowed tail).
     """
     from .analytics import offspring_tables
 
@@ -264,7 +267,10 @@ def sample_conditioned_path(
         raise ValueError(f"m must be >= 0, got {m}")
     P, R, n_trunc, _ = offspring_tables(params, m_max)
     if m >= P[1].size or P[1][m] <= 0.0:
-        raise ValueError(f"mutation count {m} beyond the table support")
+        raise NumericalFailure(
+            f"P(M = {m}) is zero in the offspring tables (m_max={m_max}); "
+            "the outdegree lies beyond the sampler's support"
+        )
     buf = _as_buffered(rng)
     kinds: list = []
     states: list = []

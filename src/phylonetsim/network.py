@@ -5,10 +5,12 @@ births split a uniformly chosen alive lineage, deaths and mutations stop a
 uniformly chosen one, coalescences merge a uniform unordered pair (one
 lineage continues, the other ends into it).  The genealogy of colors is a
 Galton-Watson tree with offspring M; conditioned on n colors it equals the
-critically tilted tree conditioned on n vertices, sampled here either by
-the cycle-lemma rotation or by naive rejection.  Gluing identifies each
-child color's root with the corresponding mutation point and yields a
-metric measure space supporting distance, sampling and contour queries.
+critically tilted tree conditioned on n vertices, sampled here by the
+cycle-lemma rotation.  Each color is decorated with a network drawn from
+the trajectory law given M = its outdegree, by the exact excursion
+decomposition sampler.  Gluing identifies each child color's root with the
+corresponding mutation point and yields a metric measure space supporting
+distance, sampling and contour queries.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .model import (
     COALESCENCE,
     MUTATION,
     MarkedTrajectory,
-    condition_on_mutations,
     sample_conditioned_path,
     simulate_trajectory,
 )
@@ -145,36 +146,15 @@ def build_color_network(params: ModelParams, traj: MarkedTrajectory, rng) -> Col
     return ColorNetwork(traj, lineages, mutation_points)
 
 
-_pmf_cache: dict = {}
-
-
-def _cached_offspring(params: ModelParams) -> analytics.OffspringPmf:
-    pmf = _pmf_cache.get(params)
-    if pmf is None:
-        pmf = _pmf_cache[params] = analytics.offspring_pmf(params, 256, tol=1e-14)
-    return pmf
-
-
-def decorate(params: ModelParams, m: int, rng, max_retries: int | None = None) -> ColorNetwork:
+def decorate(params: ModelParams, m: int, rng) -> ColorNetwork:
     """Color network conditioned on producing exactly m mutations.
 
-    Rejection on the jump chain while the analytic acceptance P(M = m) is
-    workable; deep-tail outdegrees switch to the exact excursion
-    decomposition sampler instead of failing (the two samplers agree in
-    law; see the test suite).
+    The trajectory is an exact draw from the law given M = m by the
+    excursion decomposition sampler; an m outside the support of its
+    offspring tables raises NumericalFailure.
     """
     buf = rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
-    if max_retries is None:
-        pmf = _cached_offspring(params)
-        p_m = float(pmf.probs[m]) if m < pmf.probs.size else 0.0
-        if p_m <= 0.0:
-            raise RetryBudgetError(f"decorate(m={m}) beyond the pmf support", 0, p_m)
-        if p_m < 1e-4:
-            traj = sample_conditioned_path(params, m, buf)
-            return build_color_network(params, traj, buf)
-        max_retries = int(200.0 / p_m) + 1000
-    traj = condition_on_mutations(params, m, buf, max_retries=max_retries)
-    return build_color_network(params, traj, buf)
+    return build_color_network(params, sample_conditioned_path(params, m, buf), buf)
 
 
 @dataclass
@@ -240,37 +220,22 @@ def _rotate_to_valid(degs: np.ndarray) -> np.ndarray:
 
 
 def sample_genealogy_tree(
-    tilted_probs: np.ndarray, n: int, rng: RngStream, method: str = "cycle",
-    max_retries: int = 1_000_000,
+    tilted_probs: np.ndarray, n: int, rng: RngStream, max_retries: int = 1_000_000
 ) -> GenealogyTree:
-    """Galton-Watson tree with the critically tilted offspring law, given n vertices."""
+    """Galton-Watson tree with the critically tilted offspring law, given n vertices.
+
+    Draws n i.i.d. outdegrees until they sum to n - 1, then rotates the
+    sequence into the unique valid preorder encoding (cycle lemma).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     support = np.arange(len(tilted_probs))
-    if method == "cycle":
-        for attempt in range(1, max_retries + 1):
-            degs = gen.choice(support, size=n, p=tilted_probs)
-            if int(degs.sum()) == n - 1:
-                return GenealogyTree.from_preorder_outdegrees(_rotate_to_valid(degs))
-        raise RetryBudgetError("cycle sampler exhausted retries", max_retries, 1.0 / max_retries)
-    if method == "rejection":
-        cdf = np.cumsum(tilted_probs)
-        for attempt in range(1, max_retries + 1):
-            degs = []
-            open_slots = 1
-            ok = True
-            while open_slots > 0:
-                if len(degs) >= n:
-                    ok = False
-                    break
-                d = int(np.searchsorted(cdf, gen.random() * cdf[-1], side="right"))
-                degs.append(d)
-                open_slots += d - 1
-            if ok and len(degs) == n:
-                return GenealogyTree.from_preorder_outdegrees(degs)
-        raise RetryBudgetError("rejection sampler exhausted retries", max_retries, 1.0 / max_retries)
-    raise ValueError(f"unknown method {method!r}")
+    for attempt in range(1, max_retries + 1):
+        degs = gen.choice(support, size=n, p=tilted_probs)
+        if int(degs.sum()) == n - 1:
+            return GenealogyTree.from_preorder_outdegrees(_rotate_to_valid(degs))
+    raise RetryBudgetError("cycle sampler exhausted retries", max_retries, 1.0 / max_retries)
 
 
 @dataclass(frozen=True)
@@ -583,7 +548,7 @@ def sample_network(
         raise ValueError("n must be >= 1")
     if method == "tilted":
         tilt, probs = tilted_offspring_cached(params)
-        tree = sample_genealogy_tree(probs, n, rng.substream(0), method="cycle")
+        tree = sample_genealogy_tree(probs, n, rng.substream(0))
         buf = BufferedRng(rng.substream(1))
         decorations = [decorate(params, tree.outdegree(v), buf) for v in range(n)]
         return GluedNetwork(tree, decorations)

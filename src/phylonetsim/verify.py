@@ -16,6 +16,7 @@ import numpy as np
 from scipy import stats
 
 from . import analytics, limits, model, network
+from .errors import RetryBudgetError
 from .params import ModelParams
 from .rng import BufferedRng, RngStream
 
@@ -665,13 +666,31 @@ def check_decorate_stratum_mean(params: ModelParams, seed=14, n=30_000, m=1) -> 
     )
 
 
+def _rejection_genealogy_tree(tilted_probs: np.ndarray, n: int, rng: RngStream):
+    """Oracle for the cycle-lemma sampler: grow GW trees, keep those with n vertices."""
+    max_retries = 1_000_000
+    gen = rng.generator()
+    cdf = np.cumsum(tilted_probs)
+    for _ in range(max_retries):
+        degs = []
+        open_slots = 1
+        while open_slots > 0 and len(degs) < n:
+            d = int(np.searchsorted(cdf, gen.random() * cdf[-1], side="right"))
+            degs.append(d)
+            open_slots += d - 1
+        if open_slots == 0 and len(degs) == n:
+            return network.GenealogyTree.from_preorder_outdegrees(degs)
+    raise RetryBudgetError("rejection sampler exhausted retries", max_retries, 1.0 / max_retries)
+
+
 def check_genealogy_methods(params: ModelParams, seed=15, n=6, n_samples=20_000, alpha=0.01) -> list:
+    """Cycle-lemma tree sampler against the rejection oracle, on (height, max outdegree)."""
     _, probs = network.tilted_offspring_cached(params)
     stats_a = np.empty((n_samples, 2), dtype=int)
     stats_b = np.empty((n_samples, 2), dtype=int)
     for i in range(n_samples):
-        ta = network.sample_genealogy_tree(probs, n, RngStream(seed, 2 * i), method="cycle")
-        tb = network.sample_genealogy_tree(probs, n, RngStream(seed, 2 * i + 1), method="rejection")
+        ta = network.sample_genealogy_tree(probs, n, RngStream(seed, 2 * i))
+        tb = _rejection_genealogy_tree(probs, n, RngStream(seed, 2 * i + 1))
         stats_a[i] = (ta.height(), max(len(c) for c in ta.children))
         stats_b[i] = (tb.height(), max(len(c) for c in tb.children))
     joint_a = stats_a[:, 0] * (n + 1) + stats_a[:, 1]
@@ -883,9 +902,8 @@ def crt_suite(
             1e-12,
         )
     )
-    exc = limits.brownian_excursion_max(RngStream(seed, 2))
     report = limits.verify_crt_scaling(
-        params, n, replicates, RngStream(seed, 3), constants=cc, excursion=exc, workers=workers
+        params, n, replicates, RngStream(seed, 3), constants=cc, workers=workers
     )
     ms = report["mean_size_per_color"]
     checks.append(
@@ -898,7 +916,7 @@ def crt_suite(
         )
     )
     maxh_report = limits.verify_crt_scaling(
-        params, maxh_n, maxh_reps, RngStream(seed, 4), constants=cc, excursion=exc, workers=workers
+        params, maxh_n, maxh_reps, RngStream(seed, 4), constants=cc, workers=workers
     )
     checks.append(
         Check(
@@ -915,7 +933,7 @@ def crt_suite(
     supdevs = []
     for nn, reps in zip(trend_ns, trend_reps):
         rep = limits.verify_crt_scaling(
-            params, nn, reps, RngStream(seed, 100 + nn), constants=cc, excursion=exc, workers=workers
+            params, nn, reps, RngStream(seed, 100 + nn), constants=cc, workers=workers
         )
         supdevs.append(rep["mean_sup_deviation_rescaled"])
     trend_ok = all(a > b for a, b in zip(supdevs, supdevs[1:]))

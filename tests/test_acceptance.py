@@ -33,11 +33,6 @@ def crt_cc():
     return limits.crt_constants(P111, RngStream(SEED, 1), n_samples=100_000)
 
 
-@pytest.fixture(scope="module")
-def excursion():
-    return limits.brownian_excursion_max(RngStream(SEED, 2))
-
-
 def test_criterion_01_analytic_exactness():
     t0 = time.perf_counter()
     for _ in range(100):
@@ -179,23 +174,23 @@ def test_criterion_08_network_samplers():
     )
 
 
-def test_criterion_09_crt_scale(crt_cc, excursion):
+def test_criterion_09_crt_scale(crt_cc):
     ok_dual = crt_cc.EUstar.overlaps(crt_cc.EUstar_formula)
     rep500 = limits.verify_crt_scaling(
-        P111, 500, 1000, RngStream(SEED, 11), constants=crt_cc, excursion=excursion, workers=4
+        P111, 500, 1000, RngStream(SEED, 11), constants=crt_cc, workers=4
     )
     ms = rep500["mean_size_per_color"]
     gap = abs(ms["value"] - crt_cc.ell.value)
     band = 3.0 * math.hypot(ms["std_error"], crt_cc.ell.std_error)
     ok_size = gap <= band
     rep2000 = limits.verify_crt_scaling(
-        P111, 2000, 200, RngStream(SEED, 12), constants=crt_cc, excursion=excursion, workers=4
+        P111, 2000, 200, RngStream(SEED, 12), constants=crt_cc, workers=4
     )
     ok_maxh = rep2000["max_height_rel_err"] <= 0.15
     supdevs = []
     for n, reps in ((200, 150), (800, 80), (3200, 40)):
         r = limits.verify_crt_scaling(
-            P111, n, reps, RngStream(SEED, 100 + n), constants=crt_cc, excursion=excursion, workers=4
+            P111, n, reps, RngStream(SEED, 100 + n), constants=crt_cc, workers=4
         )
         supdevs.append(r["mean_sup_deviation_rescaled"])
     ok_trend = supdevs[0] > supdevs[1] > supdevs[2]

@@ -1,6 +1,7 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +21,7 @@ from phylonetsim import (
     simulate_trajectory,
     zeta_tilt,
 )
-from phylonetsim.analytics import critical_mu, gap_majorant, tilted_offspring
+from phylonetsim.analytics import critical_mu, gap_majorant, offspring_tables, tilted_offspring
 from phylonetsim.errors import NumericalFailure, PoleError
 from phylonetsim.rng import BufferedRng
 import phylonetsim.verify as V
@@ -40,6 +41,21 @@ def brute_series(params: ModelParams, n_terms: int = 400) -> float:
     return total
 
 
+def mp_series(params: ModelParams) -> mpmath.mpf:
+    # independent oracle: the E[M] series at 50 digits, summed until the
+    # terms fall below 1e-45 of the sum once rho_j > 2
+    with mpmath.workdps(50):
+        a, b, m = (mpmath.mpf(x) for x in (params.alpha, params.beta, params.mu))
+        s, w, j = mpmath.mpf(0), mpmath.mpf(1), 0
+        while True:
+            j += 1
+            rho = a + m + (j - 1) * b
+            w /= rho
+            s += m * w
+            if rho > 2 and m * w < mpmath.mpf(10) ** -45 * s:
+                return s
+
+
 class TestExpectedM:
     def test_closed_forms(self):
         em = expected_M(P111, 1e-12)
@@ -47,6 +63,21 @@ class TestExpectedM:
         assert em.midpoint == pytest.approx(math.e - 2.0, abs=1e-10)
         em2 = expected_M(P222, 1e-12)
         assert em2.midpoint == pytest.approx(0.04 * (math.exp(5.0) - 6.0), abs=1e-10)
+
+    def test_enclosure_contains_50_digit_series(self):
+        # at the first two points (E[M] ~ 2.5e21 and 2.4e13) a plain float
+        # sum gives a zero-width enclosure several ulps off the series
+        points = (
+            ModelParams(0.102, 0.0100073, 0.0993),
+            ModelParams(0.05, 0.01, 0.3),
+            P111,
+            P222,
+        )
+        for p in points:
+            exact = mp_series(p)
+            for tol in (1e-6, 1e-12, 1e-14):
+                em = expected_M(p, tol)
+                assert em.lower <= exact <= em.upper, (p, tol, em, exact)
 
     def test_independent_partial_sums(self):
         for p in (ModelParams(0.5, 0.7, 0.3), ModelParams(1.3, 0.4, 2.0)):
@@ -185,6 +216,14 @@ class TestOffspringPmf:
         pmf = offspring_pmf(P111, 24, tol=1e-13)
         c = V.chi2_vs_expected("pmf_chi2", ms, pmf.probs, alpha=0.01)
         assert c.passed, c.detail
+
+    def test_level_cap_is_typed(self):
+        # beta = 0.0005 keeps rho_k < 1 for ~1800 levels; the truncation
+        # level would pass the cap, so no table is built
+        t0 = time.perf_counter()
+        with pytest.raises(NumericalFailure, match="levels"):
+            offspring_tables(ModelParams(0.05, 0.0005, 0.05), 256)
+        assert time.perf_counter() - t0 < 5.0
 
     def test_duality(self):
         assert V.check_pmf_pgf_duality(P111).passed

@@ -6,7 +6,6 @@ import pytest
 from phylonetsim import ModelParams, RngStream
 from phylonetsim.analytics import nu_circ_pmf, zeta_tilt
 from phylonetsim.limits import (
-    brownian_excursion_max,
     crt_constants,
     gw_size_probability,
     prob_N,
@@ -23,6 +22,18 @@ import phylonetsim.verify as V
 
 P111 = ModelParams(1.0, 1.0, 1.0)
 P222 = ModelParams(0.2, 0.2, 0.2)
+
+
+def excursion_ell(params: ModelParams, zeta: float, depth: int = 200) -> tuple:
+    # independent oracle: h_k(lam) = E_k[exp(-lam L) zeta^M] over one
+    # k-excursion solves h_k = (alpha + mu zeta + (k-1) beta) / (1 + rho_k + lam
+    # - h_{k+1}); returns (h_1(0), ell = -h_1'(0) / h_1(0)).
+    h, dh = 1.0, 0.0
+    for k in range(depth, 0, -1):
+        a = params.alpha + params.mu * zeta + (k - 1) * params.beta
+        den = 1.0 + params.rho(k) - h
+        h, dh = a / den, -a * (1.0 - dh) / den**2
+    return h, -dh / h
 
 
 class TestGwSizeProbability:
@@ -49,13 +60,6 @@ class TestGwSizeProbability:
             gw_size_probability(probs, 0)
 
 
-class TestExcursionOracle:
-    def test_matches_brownian_value(self):
-        est = brownian_excursion_max(RngStream(500), n_steps=100_001, replicates=150)
-        # true E[sup e] = sqrt(pi/2)
-        assert abs(est.value - math.sqrt(math.pi / 2.0)) <= 4.0 * est.std_error
-
-
 class TestCrtConstants:
     def test_dual_estimators_agree(self):
         cc = crt_constants(P111, RngStream(501), n_samples=40_000)
@@ -73,8 +77,11 @@ class TestCrtConstants:
 
     def test_size_check_at_small_n(self):
         cc = crt_constants(P111, RngStream(503), n_samples=30_000)
+        E_zetaM, ell = excursion_ell(P111, cc.zeta)
+        assert E_zetaM == pytest.approx(cc.E_zetaM, abs=1e-12)
         report = verify_crt_scaling(P111, 150, 80, RngStream(504), constants=cc)
-        assert report["size_check_passed"], report["mean_size_per_color"]
+        ms = report["mean_size_per_color"]
+        assert abs(ms["value"] - ell) <= 3.0 * ms["std_error"], (ms, ell)
         assert 0.9 <= report["mean_height_correlation"] <= 1.0
 
     def test_critical_params_collapse_the_bias(self):

@@ -157,7 +157,7 @@ class TestConditioning:
         assert abs(hits / n - g0) <= 3.0 * math.sqrt(g0 * (1 - g0) / n)
 
     def test_decomposition_sampler_matches_rejection(self):
-        for m in (0, 1, 3):
+        for m in (0, 1, 3, 5):
             buf1 = BufferedRng(RngStream(112, m))
             buf2 = BufferedRng(RngStream(113, m))
             n = 6000

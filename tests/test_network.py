@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from phylonetsim import ModelParams, RngStream
-from phylonetsim.errors import GlueError, RetryBudgetError
+from phylonetsim.cli import NUMERIC_ERRORS
+from phylonetsim.errors import GlueError, NumericalFailure, RetryBudgetError
 from phylonetsim.model import BIRTH, COALESCENCE, DEATH, MUTATION
 from phylonetsim.network import (
     GenealogyTree,
@@ -48,6 +49,13 @@ class TestDecorate:
         for i, (lid, t) in enumerate(dec.mutation_points):
             assert dec.lineages[lid].mutation_index == i
             assert dec.lineages[lid].end_time == t
+
+    def test_outdegree_beyond_support_is_typed(self):
+        # the tilted law can put mass on outdegrees past the sampler's m_max = 256;
+        # simulate must then exit with the numeric-failure code
+        assert NumericalFailure in NUMERIC_ERRORS
+        with pytest.raises(NumericalFailure):
+            decorate(P111, 300, BufferedRng(RngStream(424)))
 
     def test_coalescence_needs_two(self):
         # a trajectory sitting at state 1 can only end by death or mutation
