@@ -108,14 +108,23 @@ def expected_M(params: ModelParams, tol: float = 1e-12) -> CertifiedValue:
         j += 1
         w /= params.rho(j)
         s += params.mu * w
+        if not s < math.inf:
+            break
         r = 1.0 / params.rho(j + 1)
         if r < 1.0:
             tail = params.mu * w * r / (1.0 - r)
             err = 4.0 * (j + 1) * EPS * (s + tail)
             if tail <= max(tol - 2.0 * err, err):
-                return CertifiedValue(s - err, s + tail + err, j)
+                if s + tail + err < math.inf:
+                    return CertifiedValue(s - err, s + tail + err, j)
+                break
         if j > 10_000_000:
             raise NumericalFailure("expected_M series failed to converge")
+    raise NumericalFailure(
+        f"E[M] is not representable at (alpha, beta, mu) = ({params.alpha}, {params.beta}, "
+        f"{params.mu}): the weights prod 1/rho_k grow while rho_k < 1 and the series "
+        f"passes the float range at level {j}"
+    )
 
 
 def _gbar(params: ModelParams, z: float, n: int) -> float | None:
@@ -340,18 +349,31 @@ def offspring_pmf(params: ModelParams, m_max: int, tol: float = 1e-12) -> Offspr
 
 
 def nu_circ_pmf(params: ModelParams, tol: float = 1e-12) -> NuCircPmf:
-    """Law of the state just before a uniform mutation: weights prod 1/rho_k."""
+    """Law of the state just before a uniform mutation: weights prod 1/rho_k.
+
+    The weights are rescaled by the current one whenever the next product
+    could pass 1e300, so they stay finite where E[M] itself overflows; the
+    weights far below the current one then underflow to 0, as they are
+    negligible against the sum.
+    """
     weights = []
     w = 1.0
+    acc = 0.0  # running sum; the exact fsum is taken only once it nearly stops
     n = 0
     while True:
         n += 1
-        w /= params.rho(n)
+        rho = params.rho(n)
+        if w > 1e300 * rho:
+            weights = [v / w for v in weights]
+            acc /= w
+            w = 1.0
+        w /= rho
         weights.append(w)
+        acc += w
         r = 1.0 / params.rho(n + 1)
         if r < 1.0:
             tail = w * r / (1.0 - r)
-            if tail <= tol * math.fsum(weights):
+            if tail <= 2.0 * tol * acc and tail <= tol * math.fsum(weights):
                 break
         if n > 1_000_000:
             raise NumericalFailure("nu_circ weights failed to converge")

@@ -4,7 +4,9 @@ The rescaled network converges to the Brownian CRT with constant
 C = sigma_hat / (2 E[U*]), where U* is a uniform mutation time of the
 M zeta^M-biased trajectory, and |G_n| ~ n E[L zeta^M]/E[zeta^M].  E[U*]
 and ell are estimated by self-normalized weighted Monte Carlo and by
-closed-form decompositions over nu_circ.  The local weak limit around a
+closed-form decompositions over nu_circ; the Monte Carlo reads only M, T, L
+and the mutation-time sum of each run, so it runs on the batched simulator
+``model.simulate_batch``.  The local weak limit around a
 length-uniform point is a spine of size-biased-offspring vertices with a
 length-biased focal decoration, sampled here from the back-to-back pasting
 construction.
@@ -30,6 +32,7 @@ from .model import (
     MarkedTrajectory,
     paste_back_to_back,
     resample_negative_kinds,
+    simulate_batch,
     simulate_trajectory,
 )
 from .network import ColorNetwork, GluedNetwork, build_color_network, contour, decorate
@@ -105,24 +108,21 @@ def crt_constants(
 
     E[U*] is estimated twice: (1) self-normalized weighted MC over raw
     trajectories, and (2) the nu_circ decomposition with per-state Monte
-    Carlo for E_k[T zeta^M] (with the reversal mark factor).
+    Carlo for E_k[T zeta^M] (with the reversal mark factor).  ell is the
+    weighted raw estimate, cross-checked by plain MC under the measure
+    change mu -> zeta mu.  All runs are batched: substream 0 holds the raw
+    runs, substream k the runs from state k (k <= k_cap), and substream
+    k_cap + 1 the tilted runs.
     """
     tilt = analytics.zeta_tilt(params)
     zeta, EzM = tilt.zeta, tilt.E_zetaM
     EM = analytics.expected_M(params).midpoint
-    buf = BufferedRng(rng.substream(0))
-    S = np.empty(n_samples)
-    W = np.empty(n_samples)
-    Ls = np.empty(n_samples)
-    for i in range(n_samples):
-        tr = simulate_trajectory(params, 1, buf)
-        W[i] = zeta ** tr.M
-        S[i] = W[i] * math.fsum(tr.mutation_times())
-        Ls[i] = W[i] * tr.L
+    runs = simulate_batch(params, 1, n_samples, rng.substream(0))
+    W = zeta**runs.M
     ess = float(W.sum() ** 2 / (W * W).sum())
     flags = ("low_ess",) if (zeta > 1.0 and ess < 0.05 * n_samples) else ()
-    eu1 = _ratio_estimate(S, W, flags)
-    ell1 = _ratio_estimate(Ls, W, flags)
+    eu1 = _ratio_estimate(W * runs.S, W, flags)
+    ell1 = _ratio_estimate(W * runs.L, W, flags)
 
     # estimator (2): zeta E[M]/E[zeta^M] * sum_k nu(k) E_k[T zeta^M]
     #                * E_{k-1}[zeta^M] / prod_{j<=k} c_j
@@ -131,11 +131,8 @@ def crt_constants(
     total, var_total = 0.0, 0.0
     for k in range(1, kmax + 1):
         n_k = max(400, int(n_samples * float(nu.probs[k - 1])))
-        bufk = BufferedRng(rng.substream(k))
-        vals = np.empty(n_k)
-        for i in range(n_k):
-            tr = simulate_trajectory(params, k, bufk)
-            vals[i] = tr.T * zeta**tr.M
+        runs = simulate_batch(params, k, n_k, rng.substream(k))
+        vals = runs.T * zeta**runs.M
         coef = (
             zeta
             * EM
@@ -149,11 +146,8 @@ def crt_constants(
 
     # ell cross-check through the measure change E[L zeta^M] = E_{zeta mu}[L e^{(zeta-1) mu L}]
     tilted = ModelParams(params.alpha, params.beta, zeta * params.mu)
-    buft = BufferedRng(rng.substream(k_cap + 1))
-    X = np.empty(n_samples)
-    for i in range(n_samples):
-        tr = simulate_trajectory(tilted, 1, buft)
-        X[i] = tr.L * math.exp((zeta - 1.0) * params.mu * tr.L)
+    runs = simulate_batch(tilted, 1, n_samples, rng.substream(k_cap + 1))
+    X = runs.L * np.exp((zeta - 1.0) * params.mu * runs.L)
     ell2 = Estimate(float(X.mean()) / EzM, float(X.std()) / math.sqrt(n_samples) / EzM, n_samples)
 
     sig = math.sqrt(tilt.sigma_hat_sq)

@@ -4,15 +4,19 @@ The lineage count of a color is a birth-death chain absorbed at 0: from
 state ``k`` it jumps to ``k+1`` at rate ``k`` and to ``k-1`` at rate
 ``k*rho_k``.  Down-jumps split into mutation / death / coalescence marks
 with probabilities ``mu/rho_k``, ``alpha/rho_k``, ``(k-1)*beta/rho_k``.
-This module also provides the trajectory viewed from a uniformly chosen
-mutation, built by back-to-back pasting of two independent runs started
-from a state drawn from the size-weighted law ``nu_circ``.
+``simulate_trajectory`` draws one marked path; ``simulate_batch`` draws
+only the summaries M, T, L and the sum of mutation times of many runs at
+once, advancing all live runs one jump per NumPy step, for Monte Carlo that
+reads nothing else.  This module also provides the trajectory viewed from a
+uniformly chosen mutation, built by back-to-back pasting of two independent
+runs started from a state drawn from the size-weighted law ``nu_circ``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +31,7 @@ MUTATION = "M"
 DOWN_KINDS = (MUTATION, DEATH, COALESCENCE)
 
 DEFAULT_EVENT_CAP = 10_000_000
+BATCH_BLOCK = 4096  # runs advanced together by simulate_batch
 
 
 @dataclass
@@ -133,15 +138,22 @@ class MarkedTrajectory:
 _tables: dict = {}
 
 
-def _table(params: ModelParams, k: int):
+def _rate_table(params: ModelParams, k: int) -> list:
+    """The per-params jump-table list, extended to cover state k.
+
+    Event loops fetch the list once and call :func:`_extend_table` only when
+    the state passes its end, so the frozen params are hashed once per path.
+    """
     tab = _tables.get(params)
     if tab is None:
-        tab = _tables[params] = []
+        tab = _tables[params] = [None]
+    _extend_table(tab, params, k)
+    return tab
+
+
+def _extend_table(tab: list, params: ModelParams, k: int) -> None:
     while len(tab) <= k:
         j = len(tab)
-        if j == 0:
-            tab.append(None)
-            continue
         rho = params.rho(j)
         tot = 1.0 + rho
         tab.append(
@@ -152,7 +164,6 @@ def _table(params: ModelParams, k: int):
                 1.0 / (j * tot),
             )
         )
-    return tab[k]
 
 
 def _as_buffered(rng) -> BufferedRng:
@@ -168,10 +179,13 @@ def _simulate_embedded(params: ModelParams, x0: int, buf: BufferedRng, event_cap
     append_s = states.append
     uniform = buf.uniform
     n_mut = 0
+    tab = _rate_table(params, 2 * x0)
     while k > 0:
         if len(kinds) >= event_cap:
             raise EventCapError(event_cap, k)
-        t_birth, t_mut, t_death, _ = _table(params, k)
+        if k >= len(tab):
+            _extend_table(tab, params, 2 * k)
+        t_birth, t_mut, t_death, _ = tab[k]
         u = uniform()
         if u < t_birth:
             k += 1
@@ -199,8 +213,9 @@ def _attach_times(
     t = start_time
     events = []
     k = x0
+    tab = _rate_table(params, max(x0, max(states, default=0)))
     for i in range(n):
-        t += float(exps[i]) * _table(params, k)[3]
+        t += float(exps[i]) * tab[k][3]
         k = states[i]
         events.append((t, kinds[i], k))
     return MarkedTrajectory(x0, events, start_time)
@@ -219,6 +234,73 @@ def simulate_trajectory(
     buf = _as_buffered(rng)
     kinds, states, _ = _simulate_embedded(params, x0, buf, event_cap)
     return _attach_times(params, x0, kinds, states, buf, start_time)
+
+
+class TrajectoryStats(NamedTuple):
+    """Per-run summaries of independent trajectories, one array entry per run."""
+
+    M: np.ndarray  # number of mutations
+    T: np.ndarray  # lifetime
+    L: np.ndarray  # total lineage length, the time integral of the state
+    S: np.ndarray  # sum of the mutation times
+
+
+def _batch_rates(params: ModelParams, size: int):
+    """Per-state arrays (P(birth), P(birth or mutation), mean holding time)
+    for states below size, taken from the scalar rate table."""
+    tab = _rate_table(params, size)
+    # state 0 is absorbing; its row, a copy of state 1's, is never read
+    cols = np.array(tab[1:2] + tab[1:size]).T.copy()
+    return cols[0], cols[1], cols[3]
+
+
+def simulate_batch(
+    params: ModelParams, x0: int, n: int, rng: RngStream, event_cap: int = DEFAULT_EVENT_CAP
+) -> TrajectoryStats:
+    """M, T, L and the sum of mutation times of n independent runs from x0.
+
+    The same embedded chain and holding times as :func:`simulate_trajectory`,
+    advanced for all live runs at once: each step draws one uniform and one
+    exponential per live run from ``rng.generator()``.  Death and coalescence
+    are not told apart, since none of the four statistics depends on which
+    one happened.  Runs go in blocks of ``BATCH_BLOCK``, so the working set
+    does not grow with n; finished runs are compacted out after each step.
+    """
+    if x0 < 1:
+        raise ValueError(f"x0 must be >= 1, got {x0}")
+    gen = rng.generator()
+    M, TLS = np.zeros(n, dtype=np.int64), np.zeros((3, n))
+    size = 2 * x0 + 64
+    p_up, p_mut, hold = _batch_rates(params, size)
+    for lo in range(0, n, BATCH_BLOCK):
+        idx = np.arange(lo, min(n, lo + BATCH_BLOCK))
+        k = np.full(idx.size, x0, dtype=np.int64)
+        acc = np.zeros((4, idx.size))  # rows M, T, L, S of the live runs
+        events = 0
+        while idx.size:
+            if events >= event_cap:
+                raise EventCapError(event_cap, int(k[0]))
+            top = int(k.max())
+            if top >= size:
+                size = 2 * top
+                p_up, p_mut, hold = _batch_rates(params, size)
+            u = gen.random(idx.size)
+            dt = gen.standard_exponential(idx.size) * hold[k]
+            up = u < p_up[k]
+            mut = ~up & (u < p_mut[k])
+            acc[0] += mut
+            acc[1] += dt
+            acc[2] += k * dt
+            acc[3] += acc[1] * mut
+            k += 2 * up - 1
+            events += 1
+            done = k == 0
+            if done.any():
+                fin = idx[done]
+                M[fin], TLS[:, fin] = acc[0, done], acc[1:, done]
+                live = ~done
+                idx, k, acc = idx[live], k[live], acc[:, live]
+    return TrajectoryStats(M, *TLS)
 
 
 def condition_on_mutations(
@@ -281,12 +363,16 @@ def sample_conditioned_path(
         kinds.append(kind)
         states.append(state)
 
+    tab = _rate_table(params, 2 * n_trunc + 2)
+
     def plain_excursion(j: int) -> None:
         """Unconditioned mutation-free excursion from j down to j-1 (j > n_trunc)."""
         depth = 0
         while True:
             k = j + depth
-            t_birth, _, _, _ = _table(params, k)
+            if k >= len(tab):
+                _extend_table(tab, params, 2 * k)
+            t_birth = tab[k][0]
             if buf.uniform() < t_birth:
                 depth += 1
                 emit(BIRTH, k + 1)

@@ -5,6 +5,9 @@ and its threshold; suites bundle them for the CLI ``verify`` command and
 for the acceptance tests.  Monte Carlo comparisons use 3-standard-error
 bands; distributional comparisons use chi-square / Kolmogorov-Smirnov at
 significance 0.01 (Bonferroni over categories for weighted laws).
+Reference samples that need only M, T, L or the mutation-time sum of raw
+runs come from the batched ``model.simulate_batch``; checks that read the
+events of a path draw it with ``model.simulate_trajectory``.
 """
 
 from __future__ import annotations
@@ -247,28 +250,23 @@ def check_rate_consistency(params: ModelParams, seed=3, n=60_000, alpha=0.01, ma
 
 
 def check_mean_M(params: ModelParams, seed=4, n=100_000) -> Check:
-    buf = BufferedRng(RngStream(seed))
-    ms = np.empty(n)
-    for i in range(n):
-        ms[i] = model.simulate_trajectory(params, 1, buf).M
+    """Mean of M over n batched runs against the E[M] series."""
+    ms = model.simulate_batch(params, 1, n, RngStream(seed)).M
     target = analytics.expected_M(params).midpoint
     return _three_se("mean_M", float(ms.mean()), float(ms.std()) / math.sqrt(n), target, 0.0)
 
 
 def check_measure_change(params: ModelParams, seed=5, n=100_000, s_values=(0.5, 0.9)) -> list:
-    """E_mu[s^M] against E_{s mu}[e^{(s-1) mu L}], overlapping 3-SE intervals."""
+    """E_mu[s^M] against E_{s mu}[e^{(s-1) mu L}], overlapping 3-SE intervals.
+
+    Both sides are n batched runs, on streams (seed, 2j) and (seed, 2j + 1).
+    """
     checks = []
     for j, s in enumerate(s_values):
-        buf = BufferedRng(RngStream(seed, 2 * j))
-        a = np.empty(n)
-        for i in range(n):
-            a[i] = s ** model.simulate_trajectory(params, 1, buf).M
+        a = s ** model.simulate_batch(params, 1, n, RngStream(seed, 2 * j)).M
         tilted = ModelParams(params.alpha, params.beta, s * params.mu)
-        buf2 = BufferedRng(RngStream(seed, 2 * j + 1))
-        b = np.empty(n)
-        for i in range(n):
-            tr = model.simulate_trajectory(tilted, 1, buf2)
-            b[i] = math.exp((s - 1.0) * params.mu * tr.L)
+        L = model.simulate_batch(tilted, 1, n, RngStream(seed, 2 * j + 1)).L
+        b = np.exp((s - 1.0) * params.mu * L)
         checks.append(
             _three_se(
                 f"measure_change_s={s}",
@@ -513,10 +511,8 @@ def check_critical_identities(alpha=0.2, beta=0.2, tol=1e-8) -> list:
 
 
 def check_laplace_mc(params: ModelParams, seed=9, n=50_000, lam=1.0) -> Check:
-    buf = BufferedRng(RngStream(seed))
-    vals = np.empty(n)
-    for i in range(n):
-        vals[i] = math.exp(-lam * model.simulate_trajectory(params, 1, buf).T)
+    """E_1[e^{-lam T}] over n batched runs against the certified laplace_f."""
+    vals = np.exp(-lam * model.simulate_batch(params, 1, n, RngStream(seed)).T)
     target = analytics.laplace_f(params, 1, lam, tol=1e-12).midpoint
     return _three_se(
         "laplace_f_mc", float(vals.mean()), float(vals.std()) / math.sqrt(n), target, 0.0
@@ -557,10 +553,8 @@ def check_malthusian_mc(params: ModelParams, seed=10, n=100_000) -> Check:
 
 
 def check_pgf_state_mc(params: ModelParams, seed=11, n=50_000, k=3, z=0.7) -> Check:
-    buf = BufferedRng(RngStream(seed))
-    vals = np.empty(n)
-    for i in range(n):
-        vals[i] = z ** model.simulate_trajectory(params, k, buf).M
+    """E_k[z^M] over n batched runs from state k against pgf_from_state."""
+    vals = z ** model.simulate_batch(params, k, n, RngStream(seed)).M
     target = analytics.pgf_from_state(params, k, z, tol=1e-12).midpoint
     return _three_se(
         "pgf_from_state_mc", float(vals.mean()), float(vals.std()) / math.sqrt(n), target, 0.0
@@ -568,6 +562,8 @@ def check_pgf_state_mc(params: ModelParams, seed=11, n=50_000, k=3, z=0.7) -> Ch
 
 
 def check_derivative_oracles(params: ModelParams, seed=12, n=100_000) -> list:
+    """g'(1) brackets E[M]; g''(1) against the mean of M(M-1) over n batched
+    runs; g'(0) against P(M = 1)."""
     em = analytics.expected_M(params, 1e-14)
     d1 = analytics.g_derivatives(params, 1.0, 1, tol=1e-11)
     c1 = Check(
@@ -577,11 +573,8 @@ def check_derivative_oracles(params: ModelParams, seed=12, n=100_000) -> list:
         0.0,
         {"lower": d1.lower, "upper": d1.upper},
     )
-    buf = BufferedRng(RngStream(seed))
-    vals = np.empty(n)
-    for i in range(n):
-        m = model.simulate_trajectory(params, 1, buf).M
-        vals[i] = m * (m - 1)
+    m = model.simulate_batch(params, 1, n, RngStream(seed)).M
+    vals = m * (m - 1)
     d2 = analytics.g_derivatives(params, 1.0, 2, tol=1e-9)
     c2 = _three_se(
         "g_second_vs_mc_factorial_moment",
@@ -645,18 +638,18 @@ def check_decoration_consistency(params: ModelParams, seed=13, n_samples=300) ->
 
 
 def check_decorate_stratum_mean(params: ModelParams, seed=14, n=30_000, m=1) -> Check:
-    """Conditioned decoration L against the M=m stratum of raw simulation."""
+    """Conditioned decoration L against the M=m stratum of batched raw runs."""
     buf = BufferedRng(RngStream(seed, 0))
     ls = np.empty(n)
     for i in range(n):
         ls[i] = network.decorate(params, m, buf).total_length
-    buf2 = BufferedRng(RngStream(seed, 1))
-    ref = []
-    while len(ref) < n:
-        tr = model.simulate_trajectory(params, 1, buf2)
-        if tr.M == m:
-            ref.append(tr.L)
-    ref = np.asarray(ref)
+    # the first n runs with M = m among batches of 4n raw runs, one substream each
+    ref, j = np.empty(0), 0
+    while ref.size < n:
+        runs = model.simulate_batch(params, 1, 4 * n, RngStream(seed, 1).substream(j))
+        ref = np.concatenate([ref, runs.L[runs.M == m]])
+        j += 1
+    ref = ref[:n]
     return _three_se(
         f"decorate_L_stratum_m={m}",
         float(ls.mean()),
@@ -984,15 +977,9 @@ def check_prob_N_basics(params: ModelParams) -> list:
 
 
 def _focal_reference(params: ModelParams, zeta: float, seed, n):
-    """Raw trajectories weighted by L zeta^M (the focal-network M law)."""
-    buf = BufferedRng(RngStream(seed))
-    ms = np.empty(n, dtype=int)
-    ws = np.empty(n)
-    for i in range(n):
-        tr = model.simulate_trajectory(params, 1, buf)
-        ms[i] = tr.M
-        ws[i] = tr.L * zeta**tr.M
-    return ms, ws
+    """M of n batched raw runs, weighted by L zeta^M (the focal-network M law)."""
+    runs = model.simulate_batch(params, 1, n, RngStream(seed))
+    return runs.M, runs.L * zeta**runs.M
 
 
 def check_focal_sampler(params: ModelParams, seed=23, n=30_000, alpha=0.01) -> list:
@@ -1023,6 +1010,8 @@ def check_focal_sampler(params: ModelParams, seed=23, n=30_000, alpha=0.01) -> l
 
 
 def check_spinal_sampler(params: ModelParams, seed=24, n=30_000, alpha=0.01) -> list:
+    """Spinal-network M law against n batched raw runs weighted by M zeta^M,
+    and its pre-0 state law at zeta = 1 against sample_x_mut."""
     tilt = analytics.zeta_tilt(params)
     zeta = tilt.zeta
     buf = BufferedRng(RngStream(seed, 0))
@@ -1035,14 +1024,9 @@ def check_spinal_sampler(params: ModelParams, seed=24, n=30_000, alpha=0.01) -> 
         Ws[i] = w
         ok_mut &= net.focal_point is not None and net.focal_point[1] == 0.0
     c0 = Check("spinal_focal_is_time0_mutation", ok_mut, 0.0, 0.0)
-    # reference: raw trajectories weighted by M zeta^M
-    buf2 = BufferedRng(RngStream(seed, 1))
-    m_ref = np.empty(n, dtype=int)
-    w_ref = np.empty(n)
-    for i in range(n):
-        tr = model.simulate_trajectory(params, 1, buf2)
-        m_ref[i] = tr.M
-        w_ref[i] = tr.M * zeta**tr.M
+    # reference: batched raw runs weighted by M zeta^M
+    m_ref = model.simulate_batch(params, 1, n, RngStream(seed, 1)).M
+    w_ref = m_ref * zeta**m_ref
     mcap = int(max(Ms.max(), m_ref.max())) + 1
     c1 = weighted_two_sample("spinal_M_law", Ms, Ws, m_ref, w_ref, alpha, n_cats=min(mcap, 12))
     # at zeta = 1 the pre-0 state law is exactly the one of sample_x_mut
@@ -1125,7 +1109,7 @@ def check_finite_n_local(
 def check_time_since_mutation(params: ModelParams, seed=27, n_networks=300, n=2000, alpha=0.01, n_mc=40_000) -> Check:
     """Joint (N, dyadic time bin) law around a uniform point against the
     nu_circ decomposition (conditional on N=k the elapsed time is the
-    zeta^M-biased absorption time from state k)."""
+    zeta^M-biased absorption time from state k, drawn as n_mc batched runs)."""
     tilt = analytics.zeta_tilt(params)
     zeta = tilt.zeta
     ks = []
@@ -1148,13 +1132,8 @@ def check_time_since_mutation(params: ModelParams, seed=27, n_networks=300, n=20
         p_k = float(sel.mean())
         if sel.sum() < 30:
             continue
-        buf = BufferedRng(RngStream(seed, 5_000_000 + k))
-        ref_t = np.empty(n_mc)
-        ref_w = np.empty(n_mc)
-        for i in range(n_mc):
-            tr = model.simulate_trajectory(params, k, buf)
-            ref_t[i] = tr.T
-            ref_w[i] = zeta**tr.M
+        ref = model.simulate_batch(params, k, n_mc, RngStream(seed, 5_000_000 + k))
+        ref_t, ref_w = ref.T, zeta**ref.M
         for lo, hi in zip(edges[:-1], edges[1:]):
             emp = float(((ts >= lo) & (ts < hi) & sel).mean())
             se_emp = math.sqrt(max(emp * (1 - emp), 1e-9) / len(ts))

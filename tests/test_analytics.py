@@ -4,6 +4,8 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phylonetsim import (
     ModelParams,
@@ -273,6 +275,38 @@ class TestNuCirc:
     def test_stationarity_identity(self):
         assert V.check_nu_stationarity(P111).passed
         assert V.check_nu_stationarity(P222).passed
+
+
+class TestDomain:
+    """Every point of the box gets finite values or a typed error, never inf or NaN."""
+
+    @settings(max_examples=200, deadline=2000, derandomize=True, database=None)
+    @given(*[st.floats(min_value=1e-3, max_value=10.0)] * 3)
+    @example(0.05, 0.0005, 0.05)
+    def test_finite_or_typed_error(self, alpha, beta, mu):
+        params = ModelParams(alpha, beta, mu)
+        try:
+            em = expected_M(params)
+        except NumericalFailure:
+            pass
+        else:
+            assert math.isfinite(em.lower) and math.isfinite(em.upper)
+        try:
+            nu = nu_circ_pmf(params)
+        except NumericalFailure:
+            return
+        assert np.all(np.isfinite(nu.probs)) and math.isfinite(nu.tail_bound)
+        assert abs(math.fsum(nu.probs) - 1.0) <= 1e-12
+
+    def test_overflowing_mean_is_typed(self):
+        # E[M] ~ e^1339 here: nu_circ stays a finite pmf, E[M] names the regime
+        params = ModelParams(0.05, 0.0005, 0.05)
+        nu = nu_circ_pmf(params)
+        assert np.all(np.isfinite(nu.probs)) and abs(math.fsum(nu.probs) - 1.0) <= 1e-12
+        t0 = time.perf_counter()
+        with pytest.raises(NumericalFailure, match="not representable"):
+            expected_M(params)
+        assert time.perf_counter() - t0 < 0.1
 
 
 class TestLaplaceF:

@@ -13,11 +13,13 @@ from phylonetsim import (
     ModelParams,
     RngStream,
     condition_on_mutations,
+    expected_M,
     g_eval,
     paste_back_to_back,
     rho,
     sample_nu_circ,
     sample_x_mut,
+    simulate_batch,
     simulate_trajectory,
 )
 from phylonetsim.errors import EventCapError, RetryBudgetError
@@ -118,6 +120,57 @@ class TestSimulate:
             terms.append(s * (u - t))
             t, s = u, s_after
         assert tr.L == pytest.approx(sum(terms), rel=1e-12)
+
+
+class TestSimulateBatch:
+    def test_reproducible_per_stream(self):
+        # 5000 runs span two blocks
+        a = simulate_batch(P111, 2, 5000, RngStream(7, 3))
+        b = simulate_batch(P111, 2, 5000, RngStream(7, 3))
+        c = simulate_batch(P111, 2, 5000, RngStream(7, 4))
+        for x, y, z in zip(a, b, c):
+            assert np.array_equal(x, y)
+            assert not np.array_equal(x, z)
+
+    def test_start_state_validated(self):
+        with pytest.raises(ValueError):
+            simulate_batch(P111, 0, 10, RngStream(601))
+
+    def test_event_cap_is_loud(self):
+        with pytest.raises(EventCapError):
+            simulate_batch(P111, 5, 10, RngStream(602), event_cap=3)
+
+    @pytest.mark.parametrize("x0", [1, 3])
+    def test_matches_scalar_simulator(self, x0):
+        buf = BufferedRng(RngStream(603, x0))
+        n_scalar, n_batch = 20_000, 100_000
+        trs = [simulate_trajectory(P111, x0, buf) for _ in range(n_scalar)]
+        batch = simulate_batch(P111, x0, n_batch, RngStream(604, x0))
+        m_scalar = np.array([tr.M for tr in trs])
+        c = V.chi2_two_sample(f"batch_M_law_x0={x0}", m_scalar, batch.M)
+        assert c.passed, c.detail
+        scalar = {
+            "T": [tr.T for tr in trs],
+            "L": [tr.L for tr in trs],
+            "S": [math.fsum(tr.mutation_times()) for tr in trs],
+        }
+        for name, vals in scalar.items():
+            a, b = np.asarray(vals), getattr(batch, name)
+            c = V._three_se(
+                f"batch_mean_{name}",
+                float(a.mean()),
+                float(a.std()) / math.sqrt(n_scalar),
+                float(b.mean()),
+                float(b.std()) / math.sqrt(n_batch),
+            )
+            assert c.passed, (name, c.detail)
+
+    @pytest.mark.parametrize("params", [P111, P222])
+    def test_mean_M_matches_series(self, params):
+        n = 200_000
+        ms = simulate_batch(params, 1, n, RngStream(605)).M
+        target = expected_M(params).midpoint
+        assert abs(ms.mean() - target) <= 3.0 * ms.std() / math.sqrt(n)
 
 
 class TestConditioning:
