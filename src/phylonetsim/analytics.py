@@ -358,22 +358,19 @@ def nu_circ_pmf(params: ModelParams, tol: float = 1e-12) -> NuCircPmf:
     """
     weights = []
     w = 1.0
-    acc = 0.0  # running sum; the exact fsum is taken only once it nearly stops
     n = 0
     while True:
         n += 1
         rho = params.rho(n)
         if w > 1e300 * rho:
             weights = [v / w for v in weights]
-            acc /= w
             w = 1.0
         w /= rho
         weights.append(w)
-        acc += w
         r = 1.0 / params.rho(n + 1)
         if r < 1.0:
             tail = w * r / (1.0 - r)
-            if tail <= 2.0 * tol * acc and tail <= tol * math.fsum(weights):
+            if tail <= tol * math.fsum(weights):
                 break
         if n > 1_000_000:
             raise NumericalFailure("nu_circ weights failed to converge")

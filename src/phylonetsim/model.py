@@ -138,22 +138,15 @@ class MarkedTrajectory:
 _tables: dict = {}
 
 
-def _rate_table(params: ModelParams, k: int) -> list:
-    """The per-params jump-table list, extended to cover state k.
-
-    Event loops fetch the list once and call :func:`_extend_table` only when
-    the state passes its end, so the frozen params are hashed once per path.
-    """
+def _table(params: ModelParams, k: int):
     tab = _tables.get(params)
     if tab is None:
-        tab = _tables[params] = [None]
-    _extend_table(tab, params, k)
-    return tab
-
-
-def _extend_table(tab: list, params: ModelParams, k: int) -> None:
+        tab = _tables[params] = []
     while len(tab) <= k:
         j = len(tab)
+        if j == 0:
+            tab.append(None)
+            continue
         rho = params.rho(j)
         tot = 1.0 + rho
         tab.append(
@@ -164,6 +157,7 @@ def _extend_table(tab: list, params: ModelParams, k: int) -> None:
                 1.0 / (j * tot),
             )
         )
+    return tab[k]
 
 
 def _as_buffered(rng) -> BufferedRng:
@@ -179,13 +173,10 @@ def _simulate_embedded(params: ModelParams, x0: int, buf: BufferedRng, event_cap
     append_s = states.append
     uniform = buf.uniform
     n_mut = 0
-    tab = _rate_table(params, 2 * x0)
     while k > 0:
         if len(kinds) >= event_cap:
             raise EventCapError(event_cap, k)
-        if k >= len(tab):
-            _extend_table(tab, params, 2 * k)
-        t_birth, t_mut, t_death, _ = tab[k]
+        t_birth, t_mut, t_death, _ = _table(params, k)
         u = uniform()
         if u < t_birth:
             k += 1
@@ -213,9 +204,8 @@ def _attach_times(
     t = start_time
     events = []
     k = x0
-    tab = _rate_table(params, max(x0, max(states, default=0)))
     for i in range(n):
-        t += float(exps[i]) * tab[k][3]
+        t += float(exps[i]) * _table(params, k)[3]
         k = states[i]
         events.append((t, kinds[i], k))
     return MarkedTrajectory(x0, events, start_time)
@@ -248,15 +238,13 @@ class TrajectoryStats(NamedTuple):
 def _batch_rates(params: ModelParams, size: int):
     """Per-state arrays (P(birth), P(birth or mutation), mean holding time)
     for states below size, taken from the scalar rate table."""
-    tab = _rate_table(params, size)
     # state 0 is absorbing; its row, a copy of state 1's, is never read
-    cols = np.array(tab[1:2] + tab[1:size]).T.copy()
+    rows = [_table(params, j) for j in range(1, size)]
+    cols = np.array(rows[:1] + rows).T.copy()
     return cols[0], cols[1], cols[3]
 
 
-def simulate_batch(
-    params: ModelParams, x0: int, n: int, rng: RngStream, event_cap: int = DEFAULT_EVENT_CAP
-) -> TrajectoryStats:
+def simulate_batch(params: ModelParams, x0: int, n: int, rng: RngStream) -> TrajectoryStats:
     """M, T, L and the sum of mutation times of n independent runs from x0.
 
     The same embedded chain and holding times as :func:`simulate_trajectory`,
@@ -265,6 +253,8 @@ def simulate_batch(
     are not told apart, since none of the four statistics depends on which
     one happened.  Runs go in blocks of ``BATCH_BLOCK``, so the working set
     does not grow with n; finished runs are compacted out after each step.
+    A run still alive after ``DEFAULT_EVENT_CAP`` events raises
+    :class:`EventCapError`, as in the scalar simulator.
     """
     if x0 < 1:
         raise ValueError(f"x0 must be >= 1, got {x0}")
@@ -278,8 +268,8 @@ def simulate_batch(
         acc = np.zeros((4, idx.size))  # rows M, T, L, S of the live runs
         events = 0
         while idx.size:
-            if events >= event_cap:
-                raise EventCapError(event_cap, int(k[0]))
+            if events >= DEFAULT_EVENT_CAP:
+                raise EventCapError(DEFAULT_EVENT_CAP, int(k[0]))
             top = int(k.max())
             if top >= size:
                 size = 2 * top
@@ -363,16 +353,12 @@ def sample_conditioned_path(
         kinds.append(kind)
         states.append(state)
 
-    tab = _rate_table(params, 2 * n_trunc + 2)
-
     def plain_excursion(j: int) -> None:
         """Unconditioned mutation-free excursion from j down to j-1 (j > n_trunc)."""
         depth = 0
         while True:
             k = j + depth
-            if k >= len(tab):
-                _extend_table(tab, params, 2 * k)
-            t_birth = tab[k][0]
+            t_birth, _, _, _ = _table(params, k)
             if buf.uniform() < t_birth:
                 depth += 1
                 emit(BIRTH, k + 1)

@@ -25,6 +25,7 @@ from phylonetsim import (
 from phylonetsim.errors import EventCapError, RetryBudgetError
 from phylonetsim.model import resample_negative_kinds, sample_conditioned_path
 from phylonetsim.rng import BufferedRng
+import phylonetsim.model as model
 import phylonetsim.verify as V
 
 P111 = ModelParams(1.0, 1.0, 1.0)
@@ -136,9 +137,10 @@ class TestSimulateBatch:
         with pytest.raises(ValueError):
             simulate_batch(P111, 0, 10, RngStream(601))
 
-    def test_event_cap_is_loud(self):
+    def test_event_cap_is_loud(self, monkeypatch):
+        monkeypatch.setattr(model, "DEFAULT_EVENT_CAP", 3)
         with pytest.raises(EventCapError):
-            simulate_batch(P111, 5, 10, RngStream(602), event_cap=3)
+            simulate_batch(P111, 5, 10, RngStream(602))
 
     @pytest.mark.parametrize("x0", [1, 3])
     def test_matches_scalar_simulator(self, x0):
