@@ -15,6 +15,11 @@ with terminal value 1 gives an upper bound on [0, 1]; the terminal value
 
 gives a lower bound, and the gap is at most prod_{k<=n} 1/rho_k.  All
 "certified" results return (lower, upper) enclosures from these pairs.
+
+One kernel, ``_fraction``, runs the backward recursion for g, the per-state
+pgfs E_k[z^M], the z-derivatives of g, the passage-time transforms f_j(lam)
+and the Malthusian series; one driver, ``_enclose``, doubles the depth for
+the enclosures.  :func:`convergent_pair` gives the raw depth-n pair of g(z).
 """
 
 from __future__ import annotations
@@ -127,24 +132,85 @@ def expected_M(params: ModelParams, tol: float = 1e-12) -> CertifiedValue:
     )
 
 
-def _gbar(params: ModelParams, z: float, n: int) -> float | None:
-    """Self-consistent terminal value for the lower convergent; None if undefined."""
+def _fraction(
+    params: ModelParams, x: float, n: int, low: int, terminals, passage=False, derivatives=False
+):
+    """The continued-fraction kernel: v_k = a_k / (d_k - v_{k+1}) for k = n, ..., low.
+
+    The pgf fraction at z = x has a_k = alpha + mu z + (k - 1) beta and
+    d_k = 1 + rho_k, and a denominator <= 0 raises PoleError; the passage
+    fraction at lam = x has a_k = rho_k, d_k = 1 + rho_k + lam / k and raises
+    DivergentTailError.  Per terminal v_{n+1} it returns [v_n, ..., v_low];
+    with derivatives, per terminal triple (v, v', v'') the triple at level
+    low, carrying the z-derivatives with a_k' = mu and d_k' = 0.
+    """
+    j = np.arange(n - 1, low - 2, -1)  # k - 1
+    kb = j * params.beta
+    rho = params.alpha + params.mu + kb
+    if passage:
+        a, d = rho.tolist(), (1.0 + rho + x / (j + 1)).tolist()
+    else:
+        a, d = (params.alpha + params.mu * x + kb).tolist(), (1.0 + rho).tolist()
+    mu = params.mu
+    out = []
+    for v in terminals:
+        if derivatives:
+            v, v1, v2 = v
+        vs = []
+        for ak, dk in zip(a, d):
+            den = dk - v
+            if den <= 0.0:
+                if passage:
+                    raise DivergentTailError(f"divergent tail at level {n - len(vs)} for lam={x}")
+                raise PoleError(x, n)
+            v = ak / den
+            if derivatives:
+                w1 = (mu + v * v1) / den
+                v2 = (2.0 * w1 * v1 + v * v2) / den
+                v1 = w1
+            vs.append(v)
+        out.append((v, v1, v2) if derivatives else vs)
+    return out
+
+
+def _pgf_convergents(params: ModelParams, z: float, n: int, low: int, both: bool):
+    """Kernel values of the pgf fraction from the terminal gbar_n and, if both, 1.
+
+    gbar_n(z) is real for z <= 1; where it is not, 1 stands in for it.
+    """
     rho_n = params.rho(n)
     disc = (1.0 - rho_n) ** 2 - 4.0 * params.mu * (z - 1.0)
-    if disc < 0.0:
-        return None
-    return 0.5 * (1.0 + rho_n - math.sqrt(disc))
+    gb = 1.0 if disc < 0.0 else 0.5 * (1.0 + rho_n - math.sqrt(disc))
+    return _fraction(params, z, n, low, (gb, 1.0) if both else (gb,))
 
 
-def _g_backward(params: ModelParams, z: float, n: int, start_level: int, terminal: float) -> float:
-    val = terminal
-    a0 = params.alpha + params.mu * z
-    for k in range(n, start_level - 1, -1):
-        den = 1.0 + params.rho(k) - val
-        if den <= 0.0:
-            raise PoleError(z, n)
-        val = (a0 + (k - 1) * params.beta) / den
-    return val
+def _enclose(ends, n: int, certified: bool, close, what: str) -> CertifiedValue:
+    """The depth-doubling driver of g_eval, pgf_from_state and laplace_f.
+
+    ends(n) lists the two ends at depth n when certified, else one value,
+    paired with the previous depth's.  n doubles until close(current, other)
+    holds; the pair is the enclosure, clipped to [0, 1] when certified.
+    """
+    prev = None
+    while n <= DEPTH_CAP:
+        cur = ends(n)
+        a, b = cur if certified else (cur[0], prev)
+        if b is not None and close(a, b):
+            cv = CertifiedValue(min(a, b), max(a, b), n, certified)
+            return cv.clip01() if certified else cv
+        prev = a
+        n *= 2
+    raise NumericalFailure(f"{what} at depth cap {DEPTH_CAP}")
+
+
+def convergent_pair(params: ModelParams, z: float, n: int) -> tuple:
+    """The raw depth-n convergents of g(z) from the terminals gbar_n(z) and 1.
+
+    In that order, not sorted and not clipped: for z in [0, 1] they bracket
+    g(z) up to rounding, with a gap of at most gap_majorant(params, n).
+    """
+    lo, hi = _pgf_convergents(params, z, n, 1, True)
+    return lo[-1], hi[-1]
 
 
 def gap_majorant(params: ModelParams, n: int, start_level: int = 1) -> float:
@@ -166,42 +232,10 @@ def g_eval(params: ModelParams, z: float, start_level: int = 1, tol: float = 1e-
         raise ValueError("g_eval requires z >= 0")
     if start_level < 1:
         raise ValueError("start_level must be >= 1")
-    if z <= 1.0:
-        n = DEPTH_START
-        while n <= DEPTH_CAP:
-            gb = _gbar(params, z, n)
-            lo = _g_backward(params, z, n, start_level, gb)
-            hi = _g_backward(params, z, n, start_level, 1.0)
-            lo, hi = min(lo, hi), max(lo, hi)
-            if hi - lo <= tol:
-                return CertifiedValue(lo, hi, n).clip01()
-            n *= 2
-        raise NumericalFailure(f"convergent gap above {tol} at depth cap {DEPTH_CAP}")
-    prev = None
-    n = DEPTH_START
-    while n <= DEPTH_CAP:
-        gb = _gbar(params, z, n)
-        val = _g_backward(params, z, n, start_level, gb if gb is not None else 1.0)
-        if prev is not None and abs(val - prev) <= tol:
-            return CertifiedValue(min(val, prev), max(val, prev), n, certified=False)
-        prev = val
-        n *= 2
-    raise NumericalFailure(f"depth-doubling agreement above {tol} at depth cap {DEPTH_CAP}")
-
-
-def _g_deriv_backward(params: ModelParams, z: float, n: int, start_level: int, terminal):
-    g, g1, g2 = terminal
-    a0 = params.alpha + params.mu * z
-    mu = params.mu
-    for k in range(n, start_level - 1, -1):
-        den = 1.0 + params.rho(k) - g
-        if den <= 0.0:
-            raise PoleError(z, n)
-        h, h1, h2 = g, g1, g2
-        g = (a0 + (k - 1) * params.beta) / den
-        g1 = (mu + g * h1) / den
-        g2 = (2.0 * g1 * h1 + g * h2) / den
-    return g, g1, g2
+    certified = z <= 1.0
+    ends = lambda n: [vs[-1] for vs in _pgf_convergents(params, z, n, start_level, certified)]
+    what = "convergent gap" if certified else "depth-doubling agreement"
+    return _enclose(ends, DEPTH_START, certified, lambda a, b: abs(a - b) <= tol, f"{what} above {tol}")
 
 
 def g_derivatives(
@@ -228,7 +262,7 @@ def g_derivatives(
             gb1 = params.mu / math.sqrt(disc)
             gb2 = 2.0 * params.mu**2 / disc**1.5
             candidates.append((gb, gb1, gb2))
-        vals = [_g_deriv_backward(params, z, n, start_level, term)[order] for term in candidates]
+        vals = [t[order] for t in _fraction(params, z, n, start_level, candidates, derivatives=True)]
         if prev_vals is not None:
             allv = vals + prev_vals
             if max(allv) - min(allv) <= tol:
@@ -447,34 +481,11 @@ def laplace_f(params: ModelParams, k: int, lam: float, tol: float = 1e-12) -> Ce
         raise ValueError("k must be >= 1")
     if lam <= -(1.0 + params.alpha + params.mu):
         raise ValueError(f"lam must exceed -(1+alpha+mu) = {-(1.0 + params.alpha + params.mu)}")
-
-    def backward(n: int, terminal: float) -> float:
-        val = terminal
-        for j in range(n, k - 1, -1):
-            den = 1.0 + params.rho(j) + lam / j - val
-            if den <= 0.0:
-                raise DivergentTailError(f"divergent tail at level {j} for lam={lam}")
-            val = params.rho(j) / den
-        return val
-
-    n = max(DEPTH_START, 2 * k)
-    if lam >= 0.0:
-        while n <= DEPTH_CAP:
-            lo = backward(n, 0.0)
-            hi = backward(n, 1.0)
-            lo, hi = min(lo, hi), max(lo, hi)
-            if hi - lo <= tol:
-                return CertifiedValue(lo, hi, n).clip01()
-            n *= 2
-        raise NumericalFailure(f"laplace_f gap above {tol} at depth cap {DEPTH_CAP}")
-    prev = None
-    while n <= DEPTH_CAP:
-        val = backward(n, 1.0)
-        if prev is not None and abs(val - prev) <= tol:
-            return CertifiedValue(min(val, prev), max(val, prev), n, certified=False)
-        prev = val
-        n *= 2
-    raise NumericalFailure(f"laplace_f agreement above {tol} at depth cap {DEPTH_CAP}")
+    certified = lam >= 0.0
+    terminals = (0.0, 1.0) if certified else (1.0,)
+    ends = lambda n: [vs[-1] for vs in _fraction(params, lam, n, k, terminals, passage=True)]
+    what = f"laplace_f {'gap' if certified else 'agreement'} above {tol}"
+    return _enclose(ends, max(DEPTH_START, 2 * k), certified, lambda a, b: abs(a - b) <= tol, what)
 
 
 def _growth_series(params: ModelParams, lam: float, tol: float) -> float:
@@ -482,14 +493,7 @@ def _growth_series(params: ModelParams, lam: float, tol: float) -> float:
     n = 256
     prev = None
     while n <= DEPTH_CAP:
-        fs = [0.0] * (n + 2)
-        val = 1.0
-        for j in range(n, 0, -1):
-            den = 1.0 + params.rho(j) + lam / j - val
-            if den <= 0.0:
-                raise DivergentTailError(f"divergent tail at level {j} for lam={lam}")
-            val = params.rho(j) / den
-            fs[j] = val
+        fs = [None] + _fraction(params, lam, n, 1, (1.0,), passage=True)[0][::-1]  # fs[j] = f_j
         s = 0.0
         w = 1.0
         for j in range(1, n // 2):
@@ -564,40 +568,13 @@ def pgf_from_state(params: ModelParams, k: int, z: float, tol: float = 1e-12) ->
         return CertifiedValue(1.0, 1.0, 0)
     if z < 0.0:
         raise ValueError("pgf_from_state requires z >= 0")
-
-    def collect(n: int, terminal: float) -> float:
-        val = terminal
-        prod = 1.0
-        a0 = params.alpha + params.mu * z
-        for j in range(n, 0, -1):
-            den = 1.0 + params.rho(j) - val
-            if den <= 0.0:
-                raise PoleError(z, n)
-            val = (a0 + (j - 1) * params.beta) / den
-            if j <= k:
-                prod *= val
-        return prod
-
-    n = max(DEPTH_START, 2 * k)
-    if z <= 1.0:
-        while n <= DEPTH_CAP:
-            gb = _gbar(params, z, n)
-            lo = collect(n, gb)
-            hi = collect(n, 1.0)
-            lo, hi = min(lo, hi), max(lo, hi)
-            if hi - lo <= tol:
-                return CertifiedValue(lo, hi, n).clip01()
-            n *= 2
-        raise NumericalFailure(f"pgf_from_state gap above {tol} at depth cap {DEPTH_CAP}")
-    prev = None
-    while n <= DEPTH_CAP:
-        gb = _gbar(params, z, n)
-        val = collect(n, gb if gb is not None else 1.0)
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return CertifiedValue(min(val, prev), max(val, prev), n, certified=False)
-        prev = val
-        n *= 2
-    raise NumericalFailure(f"pgf_from_state agreement above {tol} at depth cap {DEPTH_CAP}")
+    certified = z <= 1.0
+    ends = lambda n: [math.prod(vs[-k:]) for vs in _pgf_convergents(params, z, n, 1, certified)]
+    if certified:
+        what, close = "gap", lambda a, b: abs(a - b) <= tol
+    else:
+        what, close = "agreement", lambda a, b: abs(a - b) <= tol * max(1.0, abs(a))
+    return _enclose(ends, max(DEPTH_START, 2 * k), certified, close, f"pgf_from_state {what} above {tol}")
 
 
 def critical_mu(alpha: float, beta: float, tol: float = 1e-12) -> float:
@@ -617,16 +594,27 @@ def tilted_offspring(params: ModelParams, tol: float = 1e-10):
     """Tilted offspring pmf P(Mhat = m) = zeta^m P(M = m) / E[zeta^M].
 
     Returns (TiltSolution, normalized probs array).  The support cap is
-    grown until the tilted series matches g(zeta) to relative 1e-9.
+    grown until the tilted series matches g(zeta) to relative 1e-9.  A
+    non-finite sum (zeta^m overflows) raises NumericalFailure at once: every
+    larger cap shares these terms.
     """
     tilt = zeta_tilt(params, tol)
     target = tilt.E_zetaM
     m_max = 48
+    gap = "none"
     while m_max <= 8192:
         base = offspring_pmf(params, m_max, tol=1e-14)
-        w = base.probs * np.power(tilt.zeta, np.arange(m_max + 1))
-        s = float(w.sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = base.probs * np.power(tilt.zeta, np.arange(m_max + 1))
+            s = float(w.sum())
+            if not math.isfinite(s):
+                m_over = int(np.argmin(np.isfinite(np.cumsum(w))))
+                raise NumericalFailure(
+                    f"tilted series zeta^m P(M = m) at zeta = {tilt.zeta} overflows at m = {m_over}; "
+                    f"last finite relative gap to g(zeta): {gap}"
+                )
         if abs(s - target) <= 1e-9 * max(1.0, target):
             return tilt, w / s
+        gap = f"{abs(s - target) / max(1.0, target):.2g}"
         m_max *= 2
     raise NumericalFailure("tilted offspring support cap exceeded")

@@ -195,9 +195,7 @@ def cmd_gfun_table(cfg: RunConfig, depths: list, z_steps: int) -> int:
         rows = []
         sup_gap = 0.0
         for z in zs:
-            gb = analytics._gbar(p, z, n)
-            lo = clip(analytics._g_backward(p, z, n, 1, gb))
-            hi = clip(analytics._g_backward(p, z, n, 1, 1.0))
+            lo, hi = (clip(v) for v in analytics.convergent_pair(p, z, n))
             lo, hi = min(lo, hi), max(lo, hi)
             rows.append({"z": z, "lower": lo, "upper": hi, "gap": hi - lo})
             sup_gap = max(sup_gap, hi - lo)

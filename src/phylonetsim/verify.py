@@ -19,7 +19,7 @@ import numpy as np
 from scipy import stats
 
 from . import analytics, limits, model, network
-from .errors import RetryBudgetError
+from .errors import NumericalFailure, RetryBudgetError
 from .params import ModelParams
 from .rng import BufferedRng, RngStream
 
@@ -154,8 +154,9 @@ def sample_m_biased_view(params: ModelParams, rng, n_samples: int, m_env: int = 
     """Independent draws from the trajectory viewed from a uniform mutation.
 
     Rejection with envelope M/m_env makes the draws exactly M-biased and
-    independent (the envelope exceeds observed M for any sane run length).
-    Returns arrays (K, U, M, duration).
+    independent while every trajectory has M <= m_env; a trajectory with
+    more mutations raises NumericalFailure.  Returns arrays (K, U, M,
+    duration).
     """
     buf = rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
     K = np.empty(n_samples, dtype=int)
@@ -166,6 +167,11 @@ def sample_m_biased_view(params: ModelParams, rng, n_samples: int, m_env: int = 
     while i < n_samples:
         tr = model.simulate_trajectory(params, 1, buf)
         m = tr.M
+        if m > m_env:
+            raise NumericalFailure(
+                f"a trajectory has M = {m} mutations, above the envelope m_env = {m_env}: "
+                "the acceptance probability M/m_env would pass 1"
+            )
         if m == 0 or buf.uniform() >= m / m_env:
             continue
         times = tr.mutation_times()
@@ -407,9 +413,7 @@ def check_convergent_gap(params: ModelParams, depths=(4, 8, 12, 16, 20, 24)) -> 
     for n in depths:
         gap = 0.0
         for z in zs:
-            gb = analytics._gbar(params, float(z), n)
-            lo = analytics._g_backward(params, float(z), n, 1, gb)
-            hi = analytics._g_backward(params, float(z), n, 1, 1.0)
+            lo, hi = analytics.convergent_pair(params, float(z), n)
             ok_order &= lo <= hi + 1e-15
             gap = max(gap, hi - lo)
         sups.append(gap)

@@ -60,9 +60,7 @@ def test_criterion_02_certified_convergents():
         for n in (4, 8, 12, 16, 20, 24, 28):
             sup = 0.0
             for z in zs:
-                gb = analytics._gbar(params, z, n)
-                lo = analytics._g_backward(params, z, n, 1, gb)
-                hi = analytics._g_backward(params, z, n, 1, 1.0)
+                lo, hi = analytics.convergent_pair(params, z, n)
                 ok &= lo <= hi + 1e-15
                 sup = max(sup, hi - lo)
             sups.append(sup)

@@ -1,5 +1,7 @@
 import math
+import sys
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -24,7 +26,7 @@ from phylonetsim import (
     zeta_tilt,
 )
 from phylonetsim.analytics import critical_mu, gap_majorant, offspring_tables, tilted_offspring
-from phylonetsim.errors import NumericalFailure, PoleError
+from phylonetsim.errors import DivergentTailError, NumericalFailure, PoleError
 from phylonetsim.rng import BufferedRng
 import phylonetsim.verify as V
 
@@ -255,6 +257,14 @@ class TestTilt:
         assert mean == pytest.approx(1.0, abs=1e-8)
         assert var == pytest.approx(tilt.sigma_hat_sq, abs=1e-6)
 
+    def test_overflowing_series_fails_fast(self):
+        # zeta ~ 18.4: zeta^m overflows at m = 244, where P(M = m) has
+        # underflowed to 0, so every support cap from 384 on sums to NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match=r"zeta = 18\.4.*m = 244.*2\.1e-07"):
+                tilted_offspring(ModelParams(10.1, 0.0102, 0.99))
+
 
 class TestNuCirc:
     def test_head_values(self):
@@ -291,6 +301,17 @@ class TestDomain:
             pass
         else:
             assert math.isfinite(em.lower) and math.isfinite(em.upper)
+        kernel_calls = [lambda z=z: g_eval(params, z) for z in (0.0, 0.5, 1.0)] + [
+            lambda: pgf_from_state(params, 3, 0.7),
+            lambda: laplace_f(params, 2, 1.0),
+            lambda: g_derivatives(params, 0.5, 1),
+        ]
+        for call in kernel_calls:
+            try:
+                cv = call()
+            except (PoleError, DivergentTailError, NumericalFailure):
+                continue
+            assert math.isfinite(cv.lower) and math.isfinite(cv.upper)
         try:
             nu = nu_circ_pmf(params)
         except NumericalFailure:
@@ -370,3 +391,68 @@ class TestSoundness:
 
     def test_gap_majorant_function(self):
         assert gap_majorant(P111, 3) == pytest.approx(1.0 / (2 * 3 * 4))
+
+
+def mp_truncated(params: ModelParams, x: float, depth: int, terminal, passage: bool = False) -> dict:
+    # independent oracle: the depth-truncated backward recursion at 50 digits,
+    # v_k = a_k / (d_k - v_{k+1}) from v_{depth+1} = terminal, as {k: v_k};
+    # terminal "gbar" is the self-consistent pgf terminal of the lower convergent
+    with mpmath.workdps(50):
+        a, b, m, x = (mpmath.mpf(t) for t in (params.alpha, params.beta, params.mu, x))
+        rho = lambda k: a + m + (k - 1) * b
+        if terminal == "gbar":
+            v = (1 + rho(depth) - mpmath.sqrt((1 - rho(depth)) ** 2 - 4 * m * (x - 1))) / 2
+        else:
+            v = mpmath.mpf(terminal)
+        vs = {}
+        for k in range(depth, 0, -1):
+            if passage:
+                v = rho(k) / (1 + rho(k) + x / k - v)
+            else:
+                v = (a + m * x + (k - 1) * b) / (1 + rho(k) - v)
+            vs[k] = v
+        return vs
+
+
+class TestKernelOracle:
+    """Each certified end is its truncated recursion at the returned depth, to rounding.
+
+    The bound is 4 (depth + k) eps W, with W = prod_{j<=depth} max(1, 1/rho_j):
+    for z <= 1 and lam >= 0, W bounds how much a rounding error made at any
+    level is amplified on its way down to the result.
+    """
+
+    POINTS = (P111, P222, ModelParams(2.0, 0.5, 0.1), ModelParams(0.05, 0.01, 0.3))
+
+    @staticmethod
+    def assert_ends_match(params, cv, k, ends):
+        w = math.prod(max(1.0, 1.0 / params.rho(j)) for j in range(1, cv.depth + 1))
+        bound = 4.0 * (cv.depth + k) * sys.float_info.epsilon * w
+        clip = lambda v: min(max(v, 0), 1)
+        lo, hi = clip(min(ends)), clip(max(ends))
+        assert abs(cv.lower - lo) <= bound, (params, cv, float(lo), bound)
+        assert abs(cv.upper - hi) <= bound, (params, cv, float(hi), bound)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    @pytest.mark.parametrize("params", POINTS)
+    def test_g_eval(self, params, tol):
+        for z in (0.0, 0.5, 1.0):
+            cv = g_eval(params, z, tol=tol)
+            ends = [mp_truncated(params, z, cv.depth, t)[1] for t in ("gbar", 1)]
+            self.assert_ends_match(params, cv, 1, ends)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    @pytest.mark.parametrize("params", POINTS)
+    def test_pgf_from_state(self, params, tol):
+        for z in (0.0, 0.7, 1.0):
+            cv = pgf_from_state(params, 3, z, tol=tol)
+            trails = [mp_truncated(params, z, cv.depth, t) for t in ("gbar", 1)]
+            self.assert_ends_match(params, cv, 3, [vs[1] * vs[2] * vs[3] for vs in trails])
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    @pytest.mark.parametrize("params", POINTS)
+    def test_laplace_f(self, params, tol):
+        for lam in (0.0, 1.0):
+            cv = laplace_f(params, 2, lam, tol=tol)
+            ends = [mp_truncated(params, lam, cv.depth, t, passage=True)[2] for t in (0, 1)]
+            self.assert_ends_match(params, cv, 2, ends)

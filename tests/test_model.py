@@ -22,7 +22,7 @@ from phylonetsim import (
     simulate_batch,
     simulate_trajectory,
 )
-from phylonetsim.errors import EventCapError, RetryBudgetError
+from phylonetsim.errors import EventCapError, NumericalFailure, RetryBudgetError
 from phylonetsim.model import resample_negative_kinds, sample_conditioned_path
 from phylonetsim.rng import BufferedRng
 import phylonetsim.model as model
@@ -306,6 +306,10 @@ class TestNuCircAndXMut:
             assert zero_events[0][1] == MUTATION
             assert zero_events[0][2] == k - 1
             assert tr.start_time < 0
+
+    def test_m_biased_view_envelope_is_typed(self):
+        with pytest.raises(NumericalFailure, match="m_env = 1"):
+            V.sample_m_biased_view(P111, RngStream(124), 1000, m_env=1)
 
     def test_x_mut_equivalence_suite(self):
         for c in V.check_x_mut_equivalence(P111, seed=7, n=8000):
