@@ -11,13 +11,21 @@ the trajectory law given M = its outdegree, by the exact excursion
 decomposition sampler.  Gluing identifies each child color's root with the
 corresponding mutation point and yields a metric measure space supporting
 distance, sampling and contour queries.
+
+Every glue point is a cut vertex, and every edge is as long as the time it
+spans.  So a shortest path leaves a color only through its root or one of
+its mutation points, and climbing from a point to an ancestor color costs
+exactly the time between them.  `GluedNetwork.distance` therefore walks the
+color tree to the two colors' lowest common ancestor and runs Dijkstra in
+that one decoration's graph; the whole glued graph is built only for the
+edge-list export.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,6 +253,78 @@ class PointRef:
     offset: float
 
 
+def _color_graph(dec: ColorNetwork) -> tuple:
+    """Metric graph of one decoration.
+
+    Each lineage is cut at its birth, its end, the births it parents and the
+    coalescences into it.  Its breakpoints get consecutive node ids in time
+    order, lineage after lineage.  An edge joins consecutive breakpoints
+    with the time between them; a birth or a coalescence joins the
+    breakpoints of its two lineages by an edge of length 0.  Returns the
+    sorted breakpoint times of each lineage, the node id of its first
+    breakpoint, and the adjacency lists of (node, length).
+    """
+    breaks = [[ln.birth_time, ln.end_time] for ln in dec.lineages]
+    for ln in dec.lineages:
+        if ln.parent is not None:
+            breaks[ln.parent[0]].append(ln.parent[1])
+        if ln.end_kind == COALESCENCE:
+            breaks[ln.end_target].append(ln.end_time)
+    times, first, adj = [], [], []
+    for bs in breaks:
+        ts = sorted(set(bs))
+        k = len(adj)
+        times.append(ts)
+        first.append(k)
+        adj += [[] for _ in ts]
+        for j in range(len(ts) - 1):
+            w = ts[j + 1] - ts[j]
+            adj[k + j].append((k + j + 1, w))
+            adj[k + j + 1].append((k + j, w))
+
+    def join(i, ti, j, tj):
+        x, y = first[i] + bisect_left(times[i], ti), first[j] + bisect_left(times[j], tj)
+        adj[x].append((y, 0.0))
+        adj[y].append((x, 0.0))
+
+    for ln in dec.lineages:
+        if ln.parent is not None:
+            join(ln.id, ln.birth_time, *ln.parent)
+        if ln.end_kind == COALESCENCE:
+            join(ln.id, ln.end_time, ln.end_target, ln.end_time)
+    return times, first, adj
+
+
+def _color_distance(dec: ColorNetwork, a: tuple, b: tuple) -> float:
+    """Shortest path inside one decoration between (lineage id, time) points.
+
+    Dijkstra from the two breakpoints around a, stopped once both
+    breakpoints around b are settled; two points on one lineage may also be
+    joined along it.
+    """
+    times, first, adj = _color_graph(dec)
+
+    def bracket(i, t):
+        ts = times[i]
+        j = max(0, min(bisect_right(ts, t) - 1, len(ts) - 2))
+        return (first[i] + j, t - ts[j]), (first[i] + j + 1, ts[j + 1] - t)
+
+    (x1, o1), (x2, o2) = bracket(*b)
+    heap = [(d, x) for x, d in bracket(*a)]
+    heapq.heapify(heap)
+    dist = {}
+    while x1 not in dist or x2 not in dist:
+        d, x = heapq.heappop(heap)
+        if x in dist:
+            continue
+        dist[x] = d
+        for y, w in adj[x]:
+            if y not in dist:
+                heapq.heappush(heap, (d + w, y))
+    best = min(dist[x1] + o1, dist[x2] + o2)
+    return min(best, abs(a[1] - b[1])) if a[0] == b[0] else best
+
+
 class GluedNetwork:
     """Genealogy tree of colors with decorations glued at mutation points."""
 
@@ -259,17 +339,19 @@ class GluedNetwork:
                 )
         self.tree = tree
         self.decorations = decorations
-        # time coordinate (height) of each color's root
+        # time coordinate (height) of each color's root, and the parent's
+        # mutation point (lineage id, time) glued to it
         self.root_height = [0.0] * tree.n
+        self._glue_point = [None] * tree.n
         for v in range(1, tree.n):
             p = tree.parent[v]
             i = tree.children[p].index(v)
-            mp = decorations[p].mutation_points[i]
+            mp = self._glue_point[v] = decorations[p].mutation_points[i]
             t_rel = mp[1] - decorations[p].trajectory.start_time
             self.root_height[v] = self.root_height[p] + t_rel
+        self._depth = tree.depths()
         self.lengths = np.array([d.total_length for d in decorations])
         self._graph = None
-        self._root_dist = None
         self._len_cdf = None
         self._seg_cdfs = None
 
@@ -286,139 +368,67 @@ class GluedNetwork:
     def root_point(self) -> PointRef:
         return PointRef(0, 0, 0.0)
 
-    # -- metric graph ------------------------------------------------------
+    # -- metric ------------------------------------------------------------
 
-    def _build_graph(self):
-        nodes = []  # (vertex, lineage, time, height)
-        index = {}
-        seg_nodes = {}  # (v, lineage id) -> sorted [(time, node)]
-
-        def node(v, ln, t, h):
-            key = (v, ln, t)
-            nid = index.get(key)
-            if nid is None:
-                nid = len(nodes)
-                index[key] = nid
-                nodes.append((v, ln, t, h))
-            return nid
-
-        adj = []
-
-        def edge(a, b, w):
-            adj.append((a, b, w))
-
-        for v, dec in enumerate(self.decorations):
-            t0 = dec.trajectory.start_time
-            H = self.root_height[v]
-            breaks = {ln.id: [ln.birth_time, ln.end_time] for ln in dec.lineages}
-            for ln in dec.lineages:
-                if ln.parent is not None:
-                    breaks[ln.parent[0]].append(ln.parent[1])
-                if ln.end_kind == COALESCENCE:
-                    breaks[ln.end_target].append(ln.end_time)
-            for ln in dec.lineages:
-                ts = sorted(set(breaks[ln.id]))
-                ids = [node(v, ln.id, t, H + (t - t0)) for t in ts]
-                seg_nodes[(v, ln.id)] = list(zip(ts, ids))
-                for a, b, ta, tb in zip(ids, ids[1:], ts, ts[1:]):
-                    edge(a, b, tb - ta)
-            for ln in dec.lineages:
-                if ln.parent is not None:
-                    pid, pt = ln.parent
-                    edge(node(v, ln.id, ln.birth_time, H + (pt - t0)), node(v, pid, pt, H + (pt - t0)), 0.0)
-                if ln.end_kind == COALESCENCE:
-                    edge(
-                        node(v, ln.id, ln.end_time, H + (ln.end_time - t0)),
-                        node(v, ln.end_target, ln.end_time, H + (ln.end_time - t0)),
-                        0.0,
-                    )
-        for v in range(self.tree.n):
-            for i, c in enumerate(self.tree.children[v]):
-                mp_ln, mp_t = self.decorations[v].mutation_points[i]
-                child_dec = self.decorations[c]
-                child_root = child_dec.lineages[0]
-                a = index[(v, mp_ln, mp_t)]
-                b = index[(c, child_root.id, child_root.birth_time)]
-                edge(a, b, 0.0)
-        graph = [[] for _ in range(len(nodes))]
-        for a, b, w in adj:
-            graph[a].append((b, w))
-            graph[b].append((a, w))
-        self._graph = graph
-        self._nodes = nodes
-        self._node_index = index
-        self._segments = seg_nodes
-
-    def _ensure_graph(self):
-        if self._graph is None:
-            self._build_graph()
-
-    def _locate(self, p: PointRef):
-        """Bracketing (node, forward_offset, backward_offset) for a point."""
-        self._ensure_graph()
-        dec = self.decorations[p.vertex]
-        ln = dec.lineages[p.lineage]
+    def _place(self, p: PointRef) -> tuple:
+        """(vertex, lineage, time) of a point; a reference off the network raises ValueError."""
+        if not 0 <= p.vertex < self.tree.n:
+            raise ValueError(f"vertex {p.vertex} outside the {self.tree.n} colors")
+        lineages = self.decorations[p.vertex].lineages
+        if not 0 <= p.lineage < len(lineages):
+            raise ValueError(
+                f"lineage {p.lineage} outside the {len(lineages)} lineages of vertex {p.vertex}"
+            )
+        ln = lineages[p.lineage]
         if not (0.0 <= p.offset <= ln.length + 1e-12):
             raise ValueError(f"offset {p.offset} outside lineage of length {ln.length}")
-        t = ln.birth_time + p.offset
-        seg = self._segments[(p.vertex, p.lineage)]
-        times = [s[0] for s in seg]
-        i = max(0, min(bisect_right(times, t) - 1, len(seg) - 2))
-        (tl, nl), (tr, nr) = seg[i], seg[i + 1]
-        return (nl, t - tl), (nr, tr - t)
-
-    def _dijkstra(self, seeds) -> dict:
-        self._ensure_graph()
-        dist = {}
-        heap = [(d, n) for n, d in seeds]
-        heapq.heapify(heap)
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u in dist:
-                continue
-            dist[u] = d
-            for w, wt in self._graph[u]:
-                if w not in dist:
-                    heapq.heappush(heap, (d + wt, w))
-        return dist
+        return p.vertex, p.lineage, ln.birth_time + p.offset
 
     def distance(self, a: PointRef, b: PointRef) -> float:
-        """Shortest-path distance in the metric graph."""
-        (al, da), (ar, db_) = self._locate(a)
-        (bl, fa), (br, fb) = self._locate(b)
-        best = math.inf
-        if a.vertex == b.vertex and a.lineage == b.lineage:
-            best = abs(a.offset - b.offset)
-        dist = self._dijkstra([(al, da), (ar, db_)])
-        for nd, off in ((bl, fa), (br, fb)):
-            if nd in dist:
-                best = min(best, dist[nd] + off)
-        return best
+        """Shortest-path distance in the metric graph.
 
-    def _root_distances(self) -> dict:
-        if self._root_dist is None:
-            self._ensure_graph()
-            rn = self._node_index[(0, 0, self.decorations[0].trajectory.start_time)]
-            self._root_dist = self._dijkstra([(rn, 0.0)])
-        return self._root_dist
+        Every glue point is a cut vertex, so a path leaves a color only
+        through its root or a mutation point.  Let w be the lowest common
+        ancestor of the two colors.  A point below w reaches w only through
+        the mutation point m_c glued to the child c of w on its side, and
+        its distance to m_c is a time difference: every edge is as long as
+        the time it spans, and the ancestral path up to c's root is
+        monotone in time.  So each side climbs to w at the cost of
+        time_coordinate(p) - root_height[c], and the rest of the path stays
+        inside w, since leaving w and coming back passes one cut vertex
+        twice.  Only w's own graph is searched.
+        """
+        (u, la, ta), (v, lb, tb) = self._place(a), self._place(b)
+        climb = 0.0
+        depth, parent = self._depth, self.tree.parent
+        ca = cb = -1  # the last child passed on each side
+        while depth[u] > depth[v]:
+            ca, u = u, parent[u]
+        while depth[v] > depth[u]:
+            cb, v = v, parent[v]
+        while u != v:
+            ca, u = u, parent[u]
+            cb, v = v, parent[v]
+        if ca >= 0:
+            climb += self.time_coordinate(a) - self.root_height[ca]
+            la, ta = self._glue_point[ca]
+        if cb >= 0:
+            climb += self.time_coordinate(b) - self.root_height[cb]
+            lb, tb = self._glue_point[cb]
+        return climb + _color_distance(self.decorations[u], (la, ta), (lb, tb))
 
     def height(self, p: PointRef) -> float:
         """Distance to the root; equals the point's time coordinate.
 
-        Shortest paths to the root are ancestral, so this is the elapsed
-        time since the first lineage (exactly the cached root distance).
+        The root point lies in color 0, the ancestor of every color, so the
+        point climbs to color 0 at the cost of a time difference and the
+        search inside color 0 follows a path that is monotone in time.
         """
-        (nl, fo), (nr, bo) = self._locate(p)
-        dist = self._root_distances()
-        best = min(dist[nl] + fo, dist[nr] + bo)
-        if p.vertex == 0 and p.lineage == self.decorations[0].lineages[0].id:
-            best = min(best, abs(p.offset))  # direct path along the root segment
-        return best
+        return self.distance(self.root_point, p)
 
     def time_coordinate(self, p: PointRef) -> float:
-        dec = self.decorations[p.vertex]
-        ln = dec.lineages[p.lineage]
-        return self.root_height[p.vertex] + (ln.birth_time + p.offset - dec.trajectory.start_time)
+        v, _, t = self._place(p)
+        return self.root_height[v] + (t - self.decorations[v].trajectory.start_time)
 
     def max_height(self) -> float:
         """Maximum time coordinate over the network (= max distance to root)."""
@@ -465,6 +475,34 @@ class GluedNetwork:
         decorations = [ColorNetwork.from_json_dict(x) for x in d["decorations"]]
         return cls(tree, decorations)
 
+    def _build_graph(self):
+        """The whole glued graph: each color's graph, then the glue edges.
+
+        Colors are numbered in vertex order; a glue edge of length 0 joins
+        each mutation point to the root of the child color glued there.
+        """
+        graph, heights, colors = [], [], []
+        for v, dec in enumerate(self.decorations):
+            times, first, adj = _color_graph(dec)
+            base = len(graph)
+            colors.append((base, times, first))
+            t0, H = dec.trajectory.start_time, self.root_height[v]
+            heights += [H + (t - t0) for ts in times for t in ts]
+            graph += [[(base + y, w) for y, w in nbrs] for nbrs in adj]
+        for c in range(1, self.tree.n):
+            base, times, first = colors[self.tree.parent[c]]
+            mp_ln, mp_t = self._glue_point[c]
+            a = base + first[mp_ln] + bisect_left(times[mp_ln], mp_t)
+            b = colors[c][0]  # the first breakpoint of the root lineage
+            graph[a].append((b, 0.0))
+            graph[b].append((a, 0.0))
+        self._graph = graph
+        self._nodes = heights  # height of each node, by node id
+
+    def _ensure_graph(self):
+        if self._graph is None:
+            self._build_graph()
+
     def to_edge_csv(self) -> str:
         self._ensure_graph()
         lines = ["source,target,weight,source_time,target_time"]
@@ -474,46 +512,52 @@ class GluedNetwork:
                 if (w, u) in seen:
                     continue
                 seen.add((u, w))
-                lines.append(
-                    f"{u},{w},{wt!r},{self._nodes[u][3]!r},{self._nodes[w][3]!r}"
-                )
+                lines.append(f"{u},{w},{wt!r},{self._nodes[u]!r},{self._nodes[w]!r}")
         return "\n".join(lines) + "\n"
 
     def to_extended_newick(self) -> str:
-        """Extended-Newick text; reticulations appear as repeated #H labels."""
-        self._ensure_graph()
-        hybrid = {}
+        """Extended-Newick text; reticulations appear as repeated #H labels.
 
-        def subtree(v: int, dec: ColorNetwork, ln: Lineage, t_from: float) -> str:
-            events = []
-            for other in dec.lineages:
-                if other.parent is not None and other.parent[0] == ln.id and other.parent[1] > t_from:
-                    events.append((other.parent[1], "b", other))
-                if other.end_kind == COALESCENCE and other.end_target == ln.id and other.end_time > t_from:
-                    events.append((other.end_time, "c", other))
-            events.sort(key=lambda e: e[0])
-            if events:
-                t, kind, other = events[0]
+        Written depth first from an explicit stack, so a network of any
+        height needs no Python recursion.  A stack entry is either text to
+        write or a lineage (vertex, lineage id, time entered, index of its
+        next event) still to write from that time on.
+        """
+        events = [_lineage_events(dec) for dec in self.decorations]
+        hybrid = {}
+        out = []
+        stack = [(0, 0, self.decorations[0].trajectory.start_time, 0)]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            v, lid, t_from, k = item
+            evs = events[v][lid]
+            if k < len(evs):
+                t, kind, other = evs[k]
+                out.append("(")
                 if kind == "b":
-                    left = subtree(v, dec, ln, t)
-                    right = subtree(v, dec, other, t)
-                    return f"({left},{right}):{t - t_from!r}"
-                tag = hybrid.setdefault((v, other.id, other.end_time), f"#H{len(hybrid) + 1}")
-                rest = subtree(v, dec, ln, t)
-                return f"({rest}){tag}:{t - t_from!r}"
+                    stack += [f"):{t - t_from!r}", (v, other, t, 0), ",", (v, lid, t, k + 1)]
+                else:
+                    tag = hybrid.setdefault((v, other, t), f"#H{len(hybrid) + 1}")
+                    stack += [f"){tag}:{t - t_from!r}", (v, lid, t, k + 1)]
+                continue
+            ln = self.decorations[v].lineages[lid]
             t = ln.end_time
             if ln.end_kind == MUTATION:
                 child = self.tree.children[v][ln.mutation_index]
-                cdec = self.decorations[child]
-                inner = subtree(child, cdec, cdec.lineages[0], cdec.trajectory.start_time)
-                return f"({inner})mut_v{v}_m{ln.mutation_index}:{t - t_from!r}"
-            if ln.end_kind == COALESCENCE:
-                tag = hybrid.setdefault((v, ln.id, ln.end_time), f"#H{len(hybrid) + 1}")
-                return f"{tag}:{t - t_from!r}"
-            return f"v{v}_l{ln.id}_{ln.end_kind}:{t - t_from!r}"
-
-        dec = self.decorations[0]
-        return subtree(0, dec, dec.lineages[0], dec.trajectory.start_time) + ";"
+                out.append("(")
+                stack += [
+                    f")mut_v{v}_m{ln.mutation_index}:{t - t_from!r}",
+                    (child, 0, self.decorations[child].trajectory.start_time, 0),
+                ]
+            elif ln.end_kind == COALESCENCE:
+                tag = hybrid.setdefault((v, lid, t), f"#H{len(hybrid) + 1}")
+                out.append(f"{tag}:{t - t_from!r}")
+            else:
+                out.append(f"v{v}_l{lid}_{ln.end_kind}:{t - t_from!r}")
+        return "".join(out) + ";"
 
 
 def glue(tree: GenealogyTree, decorations: list) -> GluedNetwork:
@@ -591,6 +635,20 @@ def sample_network(
 # -- contour ---------------------------------------------------------------
 
 
+def _lineage_events(dec: ColorNetwork) -> list:
+    """Per lineage id, the time-ordered (time, "b" | "c", other lineage id) of
+    the births off that lineage and the coalescences into it."""
+    events = [[] for _ in dec.lineages]
+    for ln in dec.lineages:
+        if ln.parent is not None:
+            events[ln.parent[0]].append((ln.parent[1], "b", ln.id))
+        if ln.end_kind == COALESCENCE:
+            events[ln.end_target].append((ln.end_time, "c", ln.id))
+    for ls in events:
+        ls.sort(key=lambda e: e[0])
+    return events
+
+
 def _decoration_walk(dec: ColorNetwork, buf: BufferedRng):
     """Depth-first runs (start_height_rel, length) of the unreticulated tree.
 
@@ -599,14 +657,7 @@ def _decoration_walk(dec: ColorNetwork, buf: BufferedRng):
     the decoration is traversed exactly once, top to bottom.
     """
     t0 = dec.trajectory.start_time
-    events = {ln.id: [] for ln in dec.lineages}
-    for ln in dec.lineages:
-        if ln.parent is not None:
-            events[ln.parent[0]].append((ln.parent[1], "b", ln.id))
-        if ln.end_kind == COALESCENCE:
-            events[ln.end_target].append((ln.end_time, "c", ln.id))
-    for ls in events.values():
-        ls.sort(key=lambda e: e[0])
+    events = _lineage_events(dec)
     # coin per coalescence: True -> detach the ending lineage
     detach_ender = {
         ln.id: buf.uniform() < 0.5 for ln in dec.lineages if ln.end_kind == COALESCENCE

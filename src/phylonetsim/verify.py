@@ -12,7 +12,9 @@ events of a path draw it with ``model.simulate_trajectory``.
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -721,6 +723,50 @@ def check_tilted_vs_direct(params: ModelParams, seed=16, n=4, n_samples=4000, al
     ]
 
 
+def distance_oracle_error(G, points) -> float:
+    """Worst gap between G.distance and the whole-graph oracle over all pairs of points.
+
+    The oracle runs one unstopped Dijkstra from each point over the whole
+    glued graph.  Each gap is taken relative to the larger of the distance
+    and the two heights: both sides add up differences of time coordinates
+    that large.
+    """
+    G._ensure_graph()
+    segments, base = {}, 0  # (vertex, lineage) -> (breakpoint times, first node id)
+    for v, dec in enumerate(G.decorations):
+        times, first, adj = network._color_graph(dec)
+        for i, ts in enumerate(times):
+            segments[(v, i)] = (ts, base + first[i])
+        base += len(adj)
+
+    def locate(p):
+        ts, n0 = segments[(p.vertex, p.lineage)]
+        t = G.decorations[p.vertex].lineages[p.lineage].birth_time + p.offset
+        i = max(0, min(bisect_right(ts, t) - 1, len(ts) - 2))
+        return (n0 + i, t - ts[i]), (n0 + i + 1, ts[i + 1] - t)
+
+    heights = [G.time_coordinate(p) for p in points]
+    worst = 0.0
+    for a, ha in zip(points, heights):
+        dist = {}
+        heap = [(d, x) for x, d in locate(a)]
+        heapq.heapify(heap)
+        while heap:
+            d, x = heapq.heappop(heap)
+            if x in dist:
+                continue
+            dist[x] = d
+            for y, w in G._graph[x]:
+                if y not in dist:
+                    heapq.heappush(heap, (d + w, y))
+        for b, hb in zip(points, heights):
+            ref = min(dist[x] + off for x, off in locate(b))
+            if (a.vertex, a.lineage) == (b.vertex, b.lineage):
+                ref = min(ref, abs(a.offset - b.offset))
+            worst = max(worst, abs(G.distance(a, b) - ref) / (max(ref, ha, hb) or 1.0))
+    return worst
+
+
 def check_distance_height(params: ModelParams, seed=17, n=30, n_points=100) -> list:
     G = network.sample_network(params, n, RngStream(seed))
     rng = RngStream(seed, 999)
@@ -737,11 +783,13 @@ def check_distance_height(params: ModelParams, seed=17, n=30, n_points=100) -> l
         dab, dba = G.distance(a, b), G.distance(b, a)
         sym = max(sym, abs(dab - dba))
         tri &= G.distance(a, c) <= dab + G.distance(b, c) + 1e-12
+    oracle = distance_oracle_error(G, [G.root_point, *pts])
     return [
         Check("distance_root_equals_height", exact, 0.0, 0.0),
         Check("height_equals_time_coordinate", close <= 1e-9, close, 1e-9),
         Check("distance_symmetry", sym <= 1e-12, sym, 1e-12),
         Check("distance_triangle", tri, 0.0, 0.0),
+        Check("distance_matches_graph_oracle", oracle <= 1e-12, oracle, 1e-12),
     ]
 
 

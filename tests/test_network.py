@@ -139,6 +139,14 @@ class TestGlue:
         )
         assert s.count("#H") == 2 * n_coal
 
+    def test_extended_newick_deep_chain(self):
+        # 1 500 nested colors: deeper than Python's default recursion limit
+        G = _chain_network(1500, BufferedRng(RngStream(433)))
+        s = G.to_extended_newick()
+        assert s.endswith(";") and s.count("(") == s.count(")")
+        assert s.count(")mut_v") == 1499
+        assert G._graph is None
+
 
 class TestSamplers:
     def test_color_count_always_n(self):
@@ -160,10 +168,75 @@ class TestSamplers:
             sample_network(P111, 3, RngStream(417), method="nope")
 
 
+def _chain_network(n_colors, buf):
+    tree = GenealogyTree.from_preorder_outdegrees([1] * (n_colors - 1) + [0])
+    return GluedNetwork(tree, [decorate(P111, tree.outdegree(v), buf) for v in range(n_colors)])
+
+
+def _probe_points(G, rng, k):
+    """The root and k uniform points, each with a point further along its
+    lineage, the start of another lineage of its color, the root of its
+    color and, in the parent color, the glue point and a point before it."""
+    pts = [G.root_point]
+    for i in range(k):
+        p = G.uniform_point(rng.substream(i))
+        n_lin = len(G.decorations[p.vertex].lineages)
+        pts += [
+            p,
+            PointRef(p.vertex, p.lineage, 0.5 * p.offset),
+            PointRef(p.vertex, (p.lineage + 1) % n_lin, 0.0),
+            PointRef(p.vertex, 0, 0.0),
+        ]
+        if p.vertex:
+            parent = G.tree.parent[p.vertex]
+            lid, _ = G.decorations[parent].mutation_points[G.tree.children[parent].index(p.vertex)]
+            ln = G.decorations[parent].lineages[lid]
+            pts += [PointRef(parent, lid, ln.length), PointRef(parent, lid, 0.25 * ln.length)]
+    return pts
+
+
 class TestMetric:
     def test_distance_height_exact(self):
         for c in V.check_distance_height(P111, seed=418, n=25, n_points=60):
             assert c.passed, (c.name, c.statistic)
+
+    @pytest.mark.parametrize(
+        "params", [P111, ModelParams(0.5, 2.0, 0.5), ModelParams(2.0, 0.5, 0.1), ModelParams(0.3, 0.3, 1.0)]
+    )
+    def test_distance_matches_graph_oracle(self, params):
+        for i in range(4):
+            G = sample_network(params, 50, RngStream(425, i))
+            pts = _probe_points(G, RngStream(426, i), 8)
+            assert V.distance_oracle_error(G, pts) <= 1e-12
+            for p in pts:
+                assert G.height(p) == pytest.approx(G.time_coordinate(p), rel=1e-12, abs=1e-12)
+
+    def test_chain_distance_matches_graph_oracle(self):
+        G = _chain_network(400, BufferedRng(RngStream(427)))
+        pts = _probe_points(G, RngStream(428), 10)
+        pts += [PointRef(399, 0, 0.0), PointRef(200, 0, 0.0)]
+        assert V.distance_oracle_error(G, pts) <= 1e-12
+
+    def test_queries_leave_global_graph_unbuilt(self):
+        G = sample_network(P111, 30, RngStream(429))
+        a, b = G.uniform_point(RngStream(430)), G.uniform_point(RngStream(431))
+        G.distance(a, b)
+        G.height(a)
+        assert G._graph is None
+
+    def test_bad_point_refs_raise_value_error(self):
+        G = sample_network(P111, 6, RngStream(432))
+        length = G.decorations[0].lineages[0].length
+        for p, word in [
+            (PointRef(-1, 0, 0.0), "vertex"),
+            (PointRef(0, -1, 0.0), "lineage"),
+            (PointRef(G.n_colors, 0, 0.0), "vertex"),
+            (PointRef(0, 0, 2.0 * length + 1.0), "offset"),
+        ]:
+            with pytest.raises(ValueError, match=word):
+                G.distance(G.root_point, p)
+            with pytest.raises(ValueError, match=word):
+                G.height(p)
 
     def test_uniform_point(self):
         for c in V.check_uniform_point(P111, seed=419, n=20, n_points=20_000):
