@@ -2,8 +2,11 @@
 
 Subcommands: analyze, gfun-table, simulate, contour, local-ball, verify.
 Flags override a plain key=value config file; identical configurations
-(including the worker count) produce byte-identical output.  Exit codes:
-0 success, 1 check failure, 2 usage error, 3 numeric failure.
+(including the worker count) produce byte-identical output.  JSON output is
+compact, key-sorted and on a single line (``python -m json.tool`` indents
+it), at schema version 2: networks and local-ball vertices carry each
+decoration as per-lineage columns (see `network.ColorNetwork.to_json_dict`).
+Exit codes: 0 success, 1 check failure, 2 usage error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .model import simulate_trajectory
 from .params import ModelParams
 from .rng import RngStream
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 NUMERIC_ERRORS = (
     PoleError,
@@ -119,7 +122,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
-    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
+    # without an indent, json.dumps runs the C encoder
+    _emit(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n", out)
 
 
 def _csv_text(header: list, rows: list) -> str:

@@ -328,10 +328,12 @@ def sample_conditioned_path(
     Walks the excursion decomposition: a k-excursion carries a geometric
     number of (k+1)-excursions plus a Bernoulli mutation on its closing
     step, so the mutation budget can be split recursively using the
-    precomputed per-state count pmfs.  Exact for the state-truncated model
-    (truncation defect below 1e-14); excursions above the truncation level
-    are mutation-free by construction.  Raises NumericalFailure when
-    P(M = m) is zero in the tables (m > m_max, or an underflowed tail).
+    precomputed per-state count pmfs.  The recursion runs on an explicit
+    stack, so paths of any height need no Python recursion.  Exact for the
+    state-truncated model (truncation defect below 1e-14); excursions above
+    the truncation level are mutation-free by construction.  Raises
+    NumericalFailure when P(M = m) is zero in the tables (m > m_max, or an
+    underflowed tail).
     """
     from .analytics import offspring_tables
 
@@ -370,54 +372,68 @@ def sample_conditioned_path(
                     return
                 depth -= 1
 
-    def excursion(k: int, s: int) -> None:
-        """k-excursion carrying exactly s mutations (within the truncation)."""
+    def enter(k: int, s: int) -> tuple | None:
+        """Open a k-excursion carrying exactly s mutations.
+
+        Above the truncation level the excursion is mutation-free and is
+        walked whole here; otherwise its closing mutation is drawn and the
+        state (k, remaining budget, closing mutation, theta) returned.
+        """
         if k > n_trunc:
             plain_excursion(k)
-            return
+            return None
         rho = params.rho(k)
-        theta = rho / (1.0 + rho)
-        p_mut = params.mu / rho
-        Pk, Rk = P[k], R[k]
         if s >= 1:
-            b = 1 if buf.uniform() * Pk[s] < p_mut * Rk[s - 1] else 0
+            b = 1 if buf.uniform() * P[k][s] < params.mu / rho * R[k][s - 1] else 0
         else:
             b = 0
-        rem = s - b
-        while True:
-            total = Rk[rem]
-            target = buf.uniform() * total
-            if rem == 0 and target < theta:
-                break
-            acc = theta if rem == 0 else 0.0
-            Pup = P[k + 1]
-            chosen = None
-            last_pos = None
-            for c in range(rem + 1):
-                wgt = (1.0 - theta) * Pup[c] * Rk[rem - c]
-                if wgt > 0.0:
-                    last_pos = c
-                acc += wgt
-                if acc > target:
-                    chosen = c
-                    break
-            if chosen is None:
-                chosen = last_pos
-            if chosen is None:
-                raise RuntimeError(f"no feasible sub-excursion split at state {k}, budget {rem}")
-            emit(BIRTH, k + 1)
-            excursion(k + 1, chosen)
-            rem -= chosen
-        if b:
-            emit(MUTATION, k - 1)
-        else:
-            kd = params.alpha + (k - 1) * params.beta
-            if kd <= 0.0:
-                raise RuntimeError("zero-rate down-step requested")
-            kind = DEATH if buf.uniform() * kd < params.alpha else COALESCENCE
-            emit(kind, k - 1)
+        return k, s - b, b, rho / (1.0 + rho)
 
-    excursion(1, m)
+    # A k-excursion draws its (k+1)-sub-excursions one at a time, each
+    # walked to its end before the next is drawn.  The open excursions
+    # above the current one wait on an explicit stack, so the draws come in
+    # the order of the recursive decomposition without Python recursion.
+    suspended = []
+    k, rem, b, theta = enter(1, m)
+    Rk, Pup = R[k], P[k + 1]
+    while True:
+        target = buf.uniform() * Rk[rem]
+        if rem == 0 and target < theta:
+            if b:
+                emit(MUTATION, k - 1)
+            else:
+                kd = params.alpha + (k - 1) * params.beta
+                if kd <= 0.0:
+                    raise RuntimeError("zero-rate down-step requested")
+                kind = DEATH if buf.uniform() * kd < params.alpha else COALESCENCE
+                emit(kind, k - 1)
+            if not suspended:
+                break
+            k, rem, b, theta = suspended.pop()
+            Rk, Pup = R[k], P[k + 1]
+            continue
+        acc = theta if rem == 0 else 0.0
+        chosen = None
+        last_pos = None
+        for c in range(rem + 1):
+            wgt = (1.0 - theta) * Pup[c] * Rk[rem - c]
+            if wgt > 0.0:
+                last_pos = c
+            acc += wgt
+            if acc > target:
+                chosen = c
+                break
+        if chosen is None:
+            chosen = last_pos
+        if chosen is None:
+            raise RuntimeError(f"no feasible sub-excursion split at state {k}, budget {rem}")
+        emit(BIRTH, k + 1)
+        rem -= chosen
+        sub = enter(k + 1, chosen)
+        if sub is not None:
+            suspended.append((k, rem, b, theta))
+            k, rem, b, theta = sub
+            Rk, Pup = R[k], P[k + 1]
     n_mut = sum(1 for kk in kinds if kk == MUTATION)
     if n_mut != m:
         raise RuntimeError(f"decomposition produced {n_mut} mutations, wanted {m}")

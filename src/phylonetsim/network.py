@@ -35,6 +35,7 @@ from .errors import GlueError, RetryBudgetError
 from .model import (
     BIRTH,
     COALESCENCE,
+    DEATH,
     MUTATION,
     MarkedTrajectory,
     sample_conditioned_path,
@@ -59,6 +60,11 @@ class Lineage:
         return self.end_time - self.birth_time
 
 
+# the per-lineage columns of a schema-2 decoration, and its end kinds
+_COLUMNS = ("parent", "birth_time", "end_time", "end_kind", "end_target")
+_END_KINDS = {MUTATION, DEATH, COALESCENCE}
+
+
 @dataclass
 class ColorNetwork:
     trajectory: MarkedTrajectory
@@ -74,43 +80,82 @@ class ColorNetwork:
         return [ln.id for ln in self.lineages if ln.birth_time <= t < ln.end_time]
 
     def to_json_dict(self) -> dict:
+        """Schema-2 columns, one entry per lineage id.
+
+        - ``parent``: the parent lineage id, -1 for the root;
+        - ``birth_time`` and ``end_time``;
+        - ``end_kind``: one string, a letter of "MDC" per lineage;
+        - ``end_target``: the continuing lineage of a coalescence, else -1;
+        - ``focal_point``: (lineage id, time) or None.
+
+        Nothing else is written, because the rest follows exactly from the
+        columns.  A lineage's id is its index, and it is attached to its
+        parent at its own birth time.  The mutation points are the lineages
+        ending in "M" in end-time order, the order in which
+        `build_color_network` appends them; a lineage's mutation index is its
+        place in that list.  The trajectory starts in state 1 (which
+        `build_color_network` requires) at ``birth_time[0]``, and its events
+        are the births of lineages 1, 2, ... and every end, in time order,
+        with the state counted along the way.
+        """
+        lins = self.lineages
         return {
-            "trajectory": self.trajectory.to_json_dict(),
-            "lineages": [
-                {
-                    "id": ln.id,
-                    "birth_time": ln.birth_time,
-                    "end_time": ln.end_time,
-                    "parent": list(ln.parent) if ln.parent else None,
-                    "end_kind": ln.end_kind,
-                    "end_target": ln.end_target,
-                    "mutation_index": ln.mutation_index,
-                }
-                for ln in self.lineages
-            ],
-            "mutation_points": [list(mp) for mp in self.mutation_points],
+            "parent": [ln.parent[0] if ln.parent else -1 for ln in lins],
+            "birth_time": [ln.birth_time for ln in lins],
+            "end_time": [ln.end_time for ln in lins],
+            "end_kind": "".join([ln.end_kind for ln in lins]),
+            "end_target": [-1 if ln.end_target is None else ln.end_target for ln in lins],
             "focal_point": list(self.focal_point) if self.focal_point else None,
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ColorNetwork":
+        """Rebuild a decoration from the schema-2 columns of `to_json_dict`.
+
+        A document that is not schema 2 (such as a schema-1 decoration with
+        ``lineages`` and ``trajectory`` keys), columns of unequal length and
+        an end kind outside "MDC" raise ValueError.
+        """
+        missing = [k for k in (*_COLUMNS, "focal_point") if k not in d]
+        if missing:
+            raise ValueError(
+                f"not a schema-2 decoration: missing {', '.join(missing)} "
+                f"(schema 2 writes the columns {', '.join(_COLUMNS)} and focal_point)"
+            )
+        parent, birth, end, kinds, target = (d[k] for k in _COLUMNS)
+        n = len(birth)
+        if n == 0 or any(len(c) != n for c in (parent, end, kinds, target)):
+            raise ValueError(
+                "schema-2 decoration columns must be nonempty and of equal length, got "
+                + ", ".join(f"{k}: {len(d[k])}" for k in _COLUMNS)
+            )
+        if not set(kinds) <= _END_KINDS:
+            raise ValueError(f"schema-2 end_kind letters must be in 'MDC', got {kinds!r}")
         lineages = [
             Lineage(
-                e["id"],
-                e["birth_time"],
-                e["end_time"],
-                tuple(e["parent"]) if e["parent"] else None,
-                e["end_kind"],
-                e["end_target"],
-                e["mutation_index"],
+                i,
+                birth[i],
+                end[i],
+                None if parent[i] < 0 else (parent[i], birth[i]),
+                kinds[i],
+                None if target[i] < 0 else target[i],
             )
-            for e in d["lineages"]
+            for i in range(n)
         ]
+        mutation_points = sorted((end[i], i) for i in range(n) if kinds[i] == MUTATION)
+        for j, (_, i) in enumerate(mutation_points):
+            lineages[i].mutation_index = j
+        marks = sorted([(birth[i], BIRTH) for i in range(1, n)] + list(zip(end, kinds)))
+        events, s = [], 1
+        for t, kind in marks:
+            s += 1 if kind == BIRTH else -1
+            events.append((t, kind, s))
+        focal = d["focal_point"]
         return cls(
-            MarkedTrajectory.from_json_dict(d["trajectory"]),
+            MarkedTrajectory(1, events, birth[0]),
             lineages,
-            [tuple(mp) for mp in d["mutation_points"]],
-            tuple(d["focal_point"]) if d.get("focal_point") else None,
+            [(i, t) for t, i in mutation_points],
+            tuple(focal) if focal else None,
         )
 
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from phylonetsim.cli import main
+from phylonetsim import ModelParams, RngStream
+from phylonetsim.cli import SCHEMA_VERSION, main
+from phylonetsim.network import GluedNetwork, sample_network
 
 
 def run_to_file(tmp_path, name, argv):
@@ -20,7 +22,7 @@ class TestAnalyze:
         )
         assert code == 0
         doc = json.loads(raw)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == SCHEMA_VERSION
         a = doc["analysis"]
         assert a["expected_M"]["value"] == pytest.approx(0.7182818284590452, abs=1e-9)
         assert a["extinction_probability"]["value"] == 1.0
@@ -98,6 +100,27 @@ class TestSimulate:
         assert set(net) == {"tree", "decorations", "glue"}
         assert len(net["decorations"]) == 6
 
+    def test_network_reads_back_as_sampled(self, tmp_path):
+        code, raw = run_to_file(tmp_path, "n.json", ["simulate", "--n", "200", "--seed", "21"])
+        assert code == 0
+        doc = json.loads(raw)
+        # compact, key-sorted, one line
+        assert raw.decode() == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        back = GluedNetwork.from_json_dict(doc["networks"][0])
+        G = sample_network(ModelParams(1.0, 1.0, 1.0), 200, RngStream(21, 0))
+        assert back.tree.parent == G.tree.parent and back.tree.children == G.tree.children
+        for b, d in zip(back.decorations, G.decorations, strict=True):
+            assert b.lineages == d.lineages
+            assert b.mutation_points == d.mutation_points
+            assert b.trajectory.events == d.trajectory.events
+            assert b.trajectory.start_time == d.trajectory.start_time
+
+    def test_byte_identical_reruns(self, tmp_path):
+        argv = ["simulate", "--n", "50", "--seed", "22", "--count", "2"]
+        _, raw1 = run_to_file(tmp_path, "s1.json", argv)
+        _, raw2 = run_to_file(tmp_path, "s2.json", argv)
+        assert raw1 == raw2
+
     def test_trajectory_kind(self, tmp_path):
         _, raw = run_to_file(
             tmp_path,
@@ -156,7 +179,7 @@ class TestLocalBall:
         assert len(doc["spine_ids"]) == 2
         focal = doc["vertices"][doc["focal_id"]]
         assert focal["role"] == "focal"
-        assert len(focal["decoration"]["mutation_points"]) == focal["outdegree"]
+        assert focal["decoration"]["end_kind"].count("M") == focal["outdegree"]
 
 
 class TestVerifyCommand:

@@ -232,6 +232,15 @@ class TestConditioning:
         tr.validate()
         assert tr.M == 14
 
+    @pytest.mark.parametrize(
+        "params, m", [(ModelParams(0.2, 0.0008, 0.01), 256), (ModelParams(0.4, 0.0006, 0.005), 200)]
+    )
+    def test_decomposition_deeper_than_recursion_limit(self, params, m):
+        # near-critical points whose excursions nest past a thousand levels
+        tr = sample_conditioned_path(params, m, RngStream(77, m, (0,)))
+        tr.validate()
+        assert tr.M == m
+
 
 class TestPasting:
     def _two_runs(self, seed, k_left, k_right):

@@ -1,13 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from phylonetsim import ModelParams, RngStream
+from phylonetsim import ModelParams, RngStream, analytics, limits
 from phylonetsim.cli import NUMERIC_ERRORS
 from phylonetsim.errors import GlueError, NumericalFailure, RetryBudgetError
 from phylonetsim.model import BIRTH, COALESCENCE, DEATH, MUTATION
 from phylonetsim.network import (
+    ColorNetwork,
     GenealogyTree,
     GluedNetwork,
     PointRef,
@@ -146,6 +148,83 @@ class TestGlue:
         assert s.endswith(";") and s.count("(") == s.count(")")
         assert s.count(")mut_v") == 1499
         assert G._graph is None
+
+
+def _through_json(doc):
+    return json.loads(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+
+
+def _assert_same_decoration(back, dec):
+    assert back.lineages == dec.lineages
+    assert back.mutation_points == dec.mutation_points
+    assert back.trajectory.initial_state == dec.trajectory.initial_state == 1
+    assert back.trajectory.events == dec.trajectory.events
+    assert back.trajectory.start_time == dec.trajectory.start_time
+    assert back.focal_point == dec.focal_point
+
+
+def _assert_network_round_trip(G):
+    back = GluedNetwork.from_json_dict(_through_json(G.to_json_dict()))
+    assert back.tree.parent == G.tree.parent and back.tree.children == G.tree.children
+    for b, d in zip(back.decorations, G.decorations, strict=True):
+        _assert_same_decoration(b, d)
+
+
+class TestSchema2:
+    """The columnar decoration form reads back exactly what was drawn."""
+
+    @pytest.mark.parametrize(
+        "params", [P111, ModelParams(0.5, 2.0, 0.5), ModelParams(2.0, 0.5, 0.1), ModelParams(0.3, 0.3, 1.0)]
+    )
+    def test_network_round_trip_exact(self, params):
+        for i in range(3):
+            _assert_network_round_trip(sample_network(params, 300, RngStream(434, i)))
+
+    def test_chain_round_trip_exact(self):
+        _assert_network_round_trip(_chain_network(400, BufferedRng(RngStream(435))))
+
+    def test_local_ball_round_trip_exact(self):
+        # pasted decorations: negative start times and an event at time 0
+        zeta = analytics.zeta_tilt(P111).zeta
+        buf = BufferedRng(RngStream(436))
+        decs = []
+        for _ in range(20):
+            decs += [limits.sample_focal_network(P111, zeta, buf)[0],
+                     limits.sample_spinal_network(P111, zeta, buf)[0]]
+        for i in range(5):
+            ball = limits.sample_local_ball(P111, zeta, 2, RngStream(437, i))
+            decs += [v.decoration for v in ball.vertices]
+        assert all(d.focal_point is not None for d in decs[:40])
+        assert any(d.trajectory.start_time < 0 for d in decs)
+        for dec in decs:
+            _assert_same_decoration(ColorNetwork.from_json_dict(_through_json(dec.to_json_dict())), dec)
+
+    def test_columns_only(self):
+        dec = decorate(P111, 3, BufferedRng(RngStream(438)))
+        d = dec.to_json_dict()
+        assert set(d) == {"parent", "birth_time", "end_time", "end_kind", "end_target", "focal_point"}
+        assert d["end_kind"].count("M") == 3 and d["parent"][0] == -1
+
+    def test_bad_documents_raise_value_error(self):
+        dec = decorate(P111, 2, BufferedRng(RngStream(439)))
+        schema1 = {
+            "trajectory": dec.trajectory.to_json_dict(),
+            "lineages": [{"id": ln.id, "birth_time": ln.birth_time} for ln in dec.lineages],
+            "mutation_points": [list(mp) for mp in dec.mutation_points],
+            "focal_point": None,
+        }
+        short = dec.to_json_dict()
+        short["end_time"] = short["end_time"][:-1]
+        bad_kind = dec.to_json_dict()
+        bad_kind["end_kind"] = "X" + bad_kind["end_kind"][1:]
+        for doc in (schema1, short, bad_kind):
+            with pytest.raises(ValueError, match="schema-2"):
+                ColorNetwork.from_json_dict(doc)
+        G = sample_network(P111, 4, RngStream(440))
+        d = G.to_json_dict()
+        d["decorations"][1] = schema1
+        with pytest.raises(ValueError, match="schema-2"):
+            GluedNetwork.from_json_dict(d)
 
 
 class TestSamplers:
