@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DivergentTailError, NumericalFailure, PoleError
-from .params import ModelParams
+from .params import ModelParams, tables
 
 DEPTH_START = 16
 DEPTH_CAP = 1 << 16
@@ -315,7 +315,6 @@ def extinction_probability(params: ModelParams, tol: float = 1e-10) -> Certified
     raise NumericalFailure("could not certify the extinction fixed point enclosure")
 
 
-_level_cache: dict = {}
 TABLE_LEVEL_CAP = 100_000
 
 
@@ -329,10 +328,10 @@ def offspring_tables(params: ModelParams, m_max: int = 256, tol: float = 1e-14):
     pmf of the mutation count of one k-excursion for k = 1..n_trunc+1 and
     R[k] the pmf of its compound-geometric part.  Raises NumericalFailure,
     before building any table, when the truncation level would exceed
-    TABLE_LEVEL_CAP.
+    TABLE_LEVEL_CAP.  Kept in the parameter set's ModelTables.
     """
-    key = (params, m_max, tol)
-    cached = _level_cache.get(key)
+    cache = tables(params).offspring
+    cached = cache.get((m_max, tol))
     if cached is not None:
         return cached
     if m_max < 0:
@@ -369,8 +368,7 @@ def offspring_tables(params: ModelParams, m_max: int = 256, tol: float = 1e-14):
         pk[1:] += p_mut * r[:-1]
         P[k] = pk
         R[k] = r
-    out = (P, R, n_trunc, w)
-    _level_cache[key] = out
+    out = cache[(m_max, tol)] = (P, R, n_trunc, w)
     return out
 
 

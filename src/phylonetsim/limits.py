@@ -317,7 +317,7 @@ def sample_focal_network(
             raise RuntimeError("pasting produced inconsistent state at time 0")
         focal = alive[int(buf.uniform() * len(alive))]
         net.focal_point = (focal, 0.0)
-        m = net.trajectory.M
+        m = len(net.mutation_points)
         if zeta <= 1.0:
             if buf.uniform() < zeta**m:
                 return net, 1.0
@@ -345,7 +345,7 @@ def sample_spinal_network(
         net = _pasted_color_network(params, K, K - 1, buf, force_mutation=True)
         focal = next(mp for mp in net.mutation_points if mp[1] == 0.0)
         net.focal_point = focal
-        m = net.trajectory.M
+        m = len(net.mutation_points)
         if zeta <= 1.0:
             if buf.uniform() < zeta**m:
                 return net, 1.0
@@ -413,7 +413,7 @@ def sample_local_ball(params: ModelParams, zeta: float, r: int, rng) -> LocalBal
         return vid
 
     focal_net, weight = sample_focal_network(params, zeta, buf)
-    m_focal = focal_net.trajectory.M
+    m_focal = len(focal_net.mutation_points)
     focal = BallVertex(0, m_focal, focal_net, role="focal")
     vertices.append(focal)
     focal_id = 0

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EventCapError, NumericalFailure, RetryBudgetError
-from .params import ModelParams
+from .params import ModelParams, ModelTables, tables
 from .rng import BufferedRng, RngStream
 
 BIRTH = "B"
@@ -133,39 +133,14 @@ class MarkedTrajectory:
         return cls(d["initial_state"], events, float(d["start_time"]))
 
 
-# Per-parameter jump tables: for state k, cumulative probabilities of
-# (birth, mutation, death) within a single uniform draw, and 1/(total rate).
-_tables: dict = {}
-
-
-def _table(params: ModelParams, k: int):
-    tab = _tables.get(params)
-    if tab is None:
-        tab = _tables[params] = []
-    while len(tab) <= k:
-        j = len(tab)
-        if j == 0:
-            tab.append(None)
-            continue
-        rho = params.rho(j)
-        tot = 1.0 + rho
-        tab.append(
-            (
-                1.0 / tot,
-                (1.0 + params.mu) / tot,
-                (1.0 + params.mu + params.alpha) / tot,
-                1.0 / (j * tot),
-            )
-        )
-    return tab[k]
-
-
 def _as_buffered(rng) -> BufferedRng:
     return rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
 
 
 def _simulate_embedded(params: ModelParams, x0: int, buf: BufferedRng, event_cap: int):
     """Jump chain only: returns (kinds, states_after, n_mutations)."""
+    tab = tables(params)
+    up, mut, death = tab.up, tab.mut, tab.death
     kinds = []
     states = []
     k = x0
@@ -176,16 +151,17 @@ def _simulate_embedded(params: ModelParams, x0: int, buf: BufferedRng, event_cap
     while k > 0:
         if len(kinds) >= event_cap:
             raise EventCapError(event_cap, k)
-        t_birth, t_mut, t_death, _ = _table(params, k)
+        if k >= len(up):
+            tab.grow(2 * k)
         u = uniform()
-        if u < t_birth:
+        if u < up[k]:
             k += 1
             append_k(BIRTH)
-        elif u < t_mut:
+        elif u < mut[k]:
             k -= 1
             append_k(MUTATION)
             n_mut += 1
-        elif u < t_death:
+        elif u < death[k]:
             k -= 1
             append_k(DEATH)
         else:
@@ -195,20 +171,28 @@ def _simulate_embedded(params: ModelParams, x0: int, buf: BufferedRng, event_cap
     return kinds, states, n_mut
 
 
+def event_times(tab: ModelTables, x0: int, states: list, buf: BufferedRng, start_time: float = 0.0) -> list:
+    """Event times of a jump chain from x0, given its states after each jump.
+
+    The holding times are drawn after the chain, in one block: they are
+    independent of the marks.  The chain has grown the rate rows through
+    every state it visited.
+    """
+    hold = tab.hold
+    times, t, k = [], start_time, x0
+    for e, s in zip(buf.exponentials(len(states)).tolist(), states):
+        t += e * hold[k]
+        times.append(t)
+        k = s
+    return times
+
+
 def _attach_times(
     params: ModelParams, x0: int, kinds: list, states: list, buf: BufferedRng, start_time: float
 ) -> MarkedTrajectory:
-    """Draw holding times for an embedded path (independent of the marks)."""
-    n = len(kinds)
-    exps = buf.exponentials(n)
-    t = start_time
-    events = []
-    k = x0
-    for i in range(n):
-        t += float(exps[i]) * _table(params, k)[3]
-        k = states[i]
-        events.append((t, kinds[i], k))
-    return MarkedTrajectory(x0, events, start_time)
+    """The marked trajectory of an embedded path, with its holding times drawn."""
+    times = event_times(tables(params), x0, states, buf, start_time)
+    return MarkedTrajectory(x0, list(zip(times, kinds, states)), start_time)
 
 
 def simulate_trajectory(
@@ -237,11 +221,11 @@ class TrajectoryStats(NamedTuple):
 
 def _batch_rates(params: ModelParams, size: int):
     """Per-state arrays (P(birth), P(birth or mutation), mean holding time)
-    for states below size, taken from the scalar rate table."""
+    for states below size, taken from the scalar rate rows."""
+    tab = tables(params)
+    tab.grow(size - 1)
     # state 0 is absorbing; its row, a copy of state 1's, is never read
-    rows = [_table(params, j) for j in range(1, size)]
-    cols = np.array(rows[:1] + rows).T.copy()
-    return cols[0], cols[1], cols[3]
+    return tuple(np.array(c[1:2] + c[1:size]) for c in (tab.up, tab.mut, tab.hold))
 
 
 def simulate_batch(params: ModelParams, x0: int, n: int, rng: RngStream) -> TrajectoryStats:
@@ -320,32 +304,45 @@ def condition_on_mutations(
     )
 
 
-def sample_conditioned_path(
-    params: ModelParams, m: int, rng, m_max: int = 256, event_cap: int = DEFAULT_EVENT_CAP
-) -> MarkedTrajectory:
-    """Exact draw from the trajectory law given M = m, without rejection.
+def _excursion_tables(tab: ModelTables, m_max: int) -> tuple:
+    """The offspring tables of analytics as Python float lists, with per level
+    k <= n_trunc the closing-mutation probability mu/rho_k and the stay weight
+    theta_k = rho_k/(1 + rho_k): (P, R, n_trunc, p_mut, theta)."""
+    ex = tab.excursion.get(m_max)
+    if ex is None:
+        from .analytics import offspring_tables
 
-    Walks the excursion decomposition: a k-excursion carries a geometric
-    number of (k+1)-excursions plus a Bernoulli mutation on its closing
-    step, so the mutation budget can be split recursively using the
-    precomputed per-state count pmfs.  The recursion runs on an explicit
-    stack, so paths of any height need no Python recursion.  Exact for the
-    state-truncated model (truncation defect below 1e-14); excursions above
-    the truncation level are mutation-free by construction.  Raises
-    NumericalFailure when P(M = m) is zero in the tables (m > m_max, or an
-    underflowed tail).
+        P, R, n_trunc, _ = offspring_tables(tab.params, m_max)
+        rho = [tab.params.rho(k) for k in range(1, n_trunc + 1)]
+        ex = tab.excursion[m_max] = (
+            [None if x is None else x.tolist() for x in P],
+            [None if x is None else x.tolist() for x in R],
+            n_trunc,
+            [None] + [tab.params.mu / r for r in rho],
+            [None] + [r / (1.0 + r) for r in rho],
+        )
+        tab.grow(n_trunc + 1)
+    return ex
+
+
+def conditioned_chain(
+    tab: ModelTables, m: int, buf: BufferedRng, m_max: int = 256, event_cap: int = DEFAULT_EVENT_CAP
+) -> tuple:
+    """Jump chain of an exact draw from the trajectory law given M = m, from state 1.
+
+    Returns (kinds, states after each jump); see :func:`sample_conditioned_path`.
     """
-    from .analytics import offspring_tables
-
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    P, R, n_trunc, _ = offspring_tables(params, m_max)
-    if m >= P[1].size or P[1][m] <= 0.0:
+    P, R, n_trunc, p_mut, theta_k = _excursion_tables(tab, m_max)
+    if m >= len(P[1]) or P[1][m] <= 0.0:
         raise NumericalFailure(
             f"P(M = {m}) is zero in the offspring tables (m_max={m_max}); "
             "the outdegree lies beyond the sampler's support"
         )
-    buf = _as_buffered(rng)
+    alpha, beta = tab.params.alpha, tab.params.beta
+    up = tab.up
+    uniform = buf.uniform
     kinds: list = []
     states: list = []
 
@@ -360,13 +357,14 @@ def sample_conditioned_path(
         depth = 0
         while True:
             k = j + depth
-            t_birth, _, _, _ = _table(params, k)
-            if buf.uniform() < t_birth:
+            if k >= len(up):
+                tab.grow(2 * k)
+            if uniform() < up[k]:
                 depth += 1
                 emit(BIRTH, k + 1)
             else:
-                kd = params.alpha + (k - 1) * params.beta
-                kind = DEATH if buf.uniform() * kd < params.alpha else COALESCENCE
+                kd = alpha + (k - 1) * beta
+                kind = DEATH if uniform() * kd < alpha else COALESCENCE
                 emit(kind, k - 1)
                 if depth == 0:
                     return
@@ -382,12 +380,11 @@ def sample_conditioned_path(
         if k > n_trunc:
             plain_excursion(k)
             return None
-        rho = params.rho(k)
         if s >= 1:
-            b = 1 if buf.uniform() * P[k][s] < params.mu / rho * R[k][s - 1] else 0
+            b = 1 if uniform() * P[k][s] < p_mut[k] * R[k][s - 1] else 0
         else:
             b = 0
-        return k, s - b, b, rho / (1.0 + rho)
+        return k, s - b, b, theta_k[k]
 
     # A k-excursion draws its (k+1)-sub-excursions one at a time, each
     # walked to its end before the next is drawn.  The open excursions
@@ -397,15 +394,15 @@ def sample_conditioned_path(
     k, rem, b, theta = enter(1, m)
     Rk, Pup = R[k], P[k + 1]
     while True:
-        target = buf.uniform() * Rk[rem]
+        target = uniform() * Rk[rem]
         if rem == 0 and target < theta:
             if b:
                 emit(MUTATION, k - 1)
             else:
-                kd = params.alpha + (k - 1) * params.beta
+                kd = alpha + (k - 1) * beta
                 if kd <= 0.0:
                     raise RuntimeError("zero-rate down-step requested")
-                kind = DEATH if buf.uniform() * kd < params.alpha else COALESCENCE
+                kind = DEATH if uniform() * kd < alpha else COALESCENCE
                 emit(kind, k - 1)
             if not suspended:
                 break
@@ -434,9 +431,29 @@ def sample_conditioned_path(
             suspended.append((k, rem, b, theta))
             k, rem, b, theta = sub
             Rk, Pup = R[k], P[k + 1]
-    n_mut = sum(1 for kk in kinds if kk == MUTATION)
+    n_mut = kinds.count(MUTATION)
     if n_mut != m:
         raise RuntimeError(f"decomposition produced {n_mut} mutations, wanted {m}")
+    return kinds, states
+
+
+def sample_conditioned_path(
+    params: ModelParams, m: int, rng, m_max: int = 256, event_cap: int = DEFAULT_EVENT_CAP
+) -> MarkedTrajectory:
+    """Exact draw from the trajectory law given M = m, without rejection.
+
+    Walks the excursion decomposition: a k-excursion carries a geometric
+    number of (k+1)-excursions plus a Bernoulli mutation on its closing
+    step, so the mutation budget can be split recursively using the
+    precomputed per-state count pmfs.  The recursion runs on an explicit
+    stack, so paths of any height need no Python recursion.  Exact for the
+    state-truncated model (truncation defect below 1e-14); excursions above
+    the truncation level are mutation-free by construction.  Raises
+    NumericalFailure when P(M = m) is zero in the tables (m > m_max, or an
+    underflowed tail).
+    """
+    buf = _as_buffered(rng)
+    kinds, states = conditioned_chain(tables(params), m, buf, m_max, event_cap)
     return _attach_times(params, 1, kinds, states, buf, 0.0)
 
 

@@ -12,6 +12,13 @@ decomposition sampler.  Gluing identifies each child color's root with the
 corresponding mutation point and yields a metric measure space supporting
 distance, sampling and contour queries.
 
+A decoration is stored as per-lineage columns, the in-memory twin of its
+schema-2 JSON form (see `ColorNetwork`).  `decorate` fills them in one
+pass: it draws the conditioned jump chain, attaches the holding times and
+assigns the lineages, with no per-event or per-lineage objects.  The
+marked trajectory and `Lineage` records are derived from the columns on
+request; every reader in this package uses the columns.
+
 Every glue point is a cut vertex, and every edge is as long as the time it
 spans.  So a shortest path leaves a color only through its root or one of
 its mutation points, and climbing from a point to an ancestor color costs
@@ -27,6 +34,7 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
@@ -38,15 +46,18 @@ from .model import (
     DEATH,
     MUTATION,
     MarkedTrajectory,
-    sample_conditioned_path,
+    conditioned_chain,
+    event_times,
     simulate_trajectory,
 )
-from .params import ModelParams
+from .params import ModelParams, tables
 from .rng import BufferedRng, RngStream
 
 
 @dataclass
 class Lineage:
+    """One lineage of a decoration, as derived by `ColorNetwork.lineages`."""
+
     id: int
     birth_time: float
     end_time: float = math.nan
@@ -60,57 +71,84 @@ class Lineage:
         return self.end_time - self.birth_time
 
 
-# the per-lineage columns of a schema-2 decoration, and its end kinds
+# the per-lineage columns of a decoration, and its end kinds
 _COLUMNS = ("parent", "birth_time", "end_time", "end_kind", "end_target")
 _END_KINDS = {MUTATION, DEATH, COALESCENCE}
 
 
-@dataclass
 class ColorNetwork:
-    trajectory: MarkedTrajectory
-    lineages: list
-    mutation_points: list  # ordered (lineage id, time)
-    focal_point: tuple | None = None
+    """One color's lineage network, as columns indexed by lineage id.
+
+    - ``parent``: the parent lineage id, -1 for the root (lineage 0);
+    - ``birth_time`` and ``end_time``;
+    - ``end_kind``: one string, a letter of "MDC" per lineage;
+    - ``end_target``: the continuing lineage of a coalescence, else -1;
+    - ``mutation_points``: (lineage id, time) of the lineages ending in "M",
+      in time order; a lineage's mutation index is its place in this list;
+    - ``focal_point``: (lineage id, time) or None.
+
+    A lineage is attached to its parent at its own birth time, and the color
+    starts at ``birth_time[0]``.  ``trajectory`` is derived from the columns
+    on first read and kept: it starts in state 1, and its events are the
+    births of lineages 1, 2, ... and every end, in time order, with the
+    state counted along the way.  ``lineages`` builds `Lineage` records
+    anew on every read, for readers outside the package.
+    """
+
+    __slots__ = (*_COLUMNS, "mutation_points", "focal_point", "_trajectory")
+
+    def __init__(self, parent, birth_time, end_time, end_kind, end_target, mutation_points, focal_point=None):
+        self.parent = parent
+        self.birth_time = birth_time
+        self.end_time = end_time
+        self.end_kind = end_kind
+        self.end_target = end_target
+        self.mutation_points = mutation_points
+        self.focal_point = focal_point
+        self._trajectory = None
+
+    @property
+    def trajectory(self) -> MarkedTrajectory:
+        if self._trajectory is None:
+            birth = self.birth_time
+            marks = sorted([(t, BIRTH) for t in birth[1:]] + list(zip(self.end_time, self.end_kind)))
+            events, s = [], 1
+            for t, kind in marks:
+                s += 1 if kind == BIRTH else -1
+                events.append((t, kind, s))
+            self._trajectory = MarkedTrajectory(1, events, birth[0])
+        return self._trajectory
+
+    @property
+    def lineages(self) -> list:
+        index = {lid: j for j, (lid, _) in enumerate(self.mutation_points)}
+        return [
+            Lineage(i, b, e, None if p < 0 else (p, b), k, None if g < 0 else g, index.get(i))
+            for i, (p, b, e, k, g) in enumerate(
+                zip(self.parent, self.birth_time, self.end_time, self.end_kind, self.end_target)
+            )
+        ]
 
     @property
     def total_length(self) -> float:
-        return math.fsum(ln.length for ln in self.lineages)
+        return math.fsum(map(sub, self.end_time, self.birth_time))
 
     def alive_at(self, t: float) -> list:
-        return [ln.id for ln in self.lineages if ln.birth_time <= t < ln.end_time]
+        return [i for i, (b, e) in enumerate(zip(self.birth_time, self.end_time)) if b <= t < e]
 
     def to_json_dict(self) -> dict:
-        """Schema-2 columns, one entry per lineage id.
+        """The schema-2 columns (the stored lists themselves) and the focal point.
 
-        - ``parent``: the parent lineage id, -1 for the root;
-        - ``birth_time`` and ``end_time``;
-        - ``end_kind``: one string, a letter of "MDC" per lineage;
-        - ``end_target``: the continuing lineage of a coalescence, else -1;
-        - ``focal_point``: (lineage id, time) or None.
-
-        Nothing else is written, because the rest follows exactly from the
-        columns.  A lineage's id is its index, and it is attached to its
-        parent at its own birth time.  The mutation points are the lineages
-        ending in "M" in end-time order, the order in which
-        `build_color_network` appends them; a lineage's mutation index is its
-        place in that list.  The trajectory starts in state 1 (which
-        `build_color_network` requires) at ``birth_time[0]``, and its events
-        are the births of lineages 1, 2, ... and every end, in time order,
-        with the state counted along the way.
+        The mutation points and the trajectory are not written: they follow
+        exactly from the columns.
         """
-        lins = self.lineages
-        return {
-            "parent": [ln.parent[0] if ln.parent else -1 for ln in lins],
-            "birth_time": [ln.birth_time for ln in lins],
-            "end_time": [ln.end_time for ln in lins],
-            "end_kind": "".join([ln.end_kind for ln in lins]),
-            "end_target": [-1 if ln.end_target is None else ln.end_target for ln in lins],
-            "focal_point": list(self.focal_point) if self.focal_point else None,
-        }
+        d = {k: getattr(self, k) for k in _COLUMNS}
+        d["focal_point"] = list(self.focal_point) if self.focal_point else None
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ColorNetwork":
-        """Rebuild a decoration from the schema-2 columns of `to_json_dict`.
+        """Validate and store the schema-2 columns of `to_json_dict`.
 
         A document that is not schema 2 (such as a schema-1 decoration with
         ``lineages`` and ``trajectory`` keys), columns of unequal length and
@@ -131,32 +169,50 @@ class ColorNetwork:
             )
         if not set(kinds) <= _END_KINDS:
             raise ValueError(f"schema-2 end_kind letters must be in 'MDC', got {kinds!r}")
-        lineages = [
-            Lineage(
-                i,
-                birth[i],
-                end[i],
-                None if parent[i] < 0 else (parent[i], birth[i]),
-                kinds[i],
-                None if target[i] < 0 else target[i],
-            )
-            for i in range(n)
-        ]
-        mutation_points = sorted((end[i], i) for i in range(n) if kinds[i] == MUTATION)
-        for j, (_, i) in enumerate(mutation_points):
-            lineages[i].mutation_index = j
-        marks = sorted([(birth[i], BIRTH) for i in range(1, n)] + list(zip(end, kinds)))
-        events, s = [], 1
-        for t, kind in marks:
-            s += 1 if kind == BIRTH else -1
-            events.append((t, kind, s))
+        mutation_points = [(i, t) for t, i in sorted((end[i], i) for i in range(n) if kinds[i] == MUTATION)]
         focal = d["focal_point"]
-        return cls(
-            MarkedTrajectory(1, events, birth[0]),
-            lineages,
-            [(i, t) for t, i in mutation_points],
-            tuple(focal) if focal else None,
-        )
+        return cls(parent, birth, end, kinds, target, mutation_points, tuple(focal) if focal else None)
+
+
+def _realize(kinds: list, times: list, start_time: float, buf: BufferedRng) -> ColorNetwork:
+    """The lineage loop: a color's columns from its jump chain, started in state 1.
+
+    A birth splits a uniform alive lineage, a death or a mutation stops
+    one, and a coalescence ends a uniform lineage into another uniform one.
+    """
+    parent, birth, end, kind, target = [-1], [start_time], [math.nan], [""], [-1]
+    alive = [0]
+    mutation_points = []
+    uniform = buf.uniform
+    for t, k in zip(times, kinds):
+        if k == BIRTH:
+            i = 0 if len(alive) == 1 else int(uniform() * len(alive))
+            parent.append(alive[i])
+            alive.append(len(birth))
+            birth.append(t)
+            end.append(math.nan)
+            kind.append("")
+            target.append(-1)
+        elif k == COALESCENCE:
+            i = int(uniform() * len(alive))
+            j = int(uniform() * (len(alive) - 1))
+            if j >= i:
+                j += 1
+            ender = alive[j]
+            end[ender], kind[ender], target[ender] = t, COALESCENCE, alive[i]
+            alive[j] = alive[-1]
+            alive.pop()
+        else:  # death or mutation stops a uniform alive lineage
+            i = 0 if len(alive) == 1 else int(uniform() * len(alive))
+            ender = alive[i]
+            end[ender], kind[ender] = t, k
+            if k == MUTATION:
+                mutation_points.append((ender, t))
+            alive[i] = alive[-1]
+            alive.pop()
+    if alive:
+        raise ValueError("trajectory did not absorb all lineages")
+    return ColorNetwork(parent, birth, end, "".join(kind), target, mutation_points)
 
 
 def build_color_network(params: ModelParams, traj: MarkedTrajectory, rng) -> ColorNetwork:
@@ -164,50 +220,21 @@ def build_color_network(params: ModelParams, traj: MarkedTrajectory, rng) -> Col
     if traj.initial_state != 1:
         raise ValueError("a color starts from a single lineage")
     buf = rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
-    root = Lineage(0, traj.start_time)
-    lineages = [root]
-    alive = [0]
-    mutation_points = []
-    for t, kind, _ in traj.events:
-        if kind == BIRTH:
-            i = 0 if len(alive) == 1 else int(buf.uniform() * len(alive))
-            parent = alive[i]
-            child = Lineage(len(lineages), t, parent=(parent, t))
-            lineages.append(child)
-            alive.append(child.id)
-        elif kind == COALESCENCE:
-            i = int(buf.uniform() * len(alive))
-            j = int(buf.uniform() * (len(alive) - 1))
-            if j >= i:
-                j += 1
-            ender, cont = alive[j], alive[i]
-            ln = lineages[ender]
-            ln.end_time, ln.end_kind, ln.end_target = t, COALESCENCE, cont
-            alive[j] = alive[-1]
-            alive.pop()
-        else:  # death or mutation stops a uniform alive lineage
-            i = 0 if len(alive) == 1 else int(buf.uniform() * len(alive))
-            ln = lineages[alive[i]]
-            ln.end_time, ln.end_kind = t, kind
-            if kind == MUTATION:
-                ln.mutation_index = len(mutation_points)
-                mutation_points.append((ln.id, t))
-            alive[i] = alive[-1]
-            alive.pop()
-    if alive:
-        raise ValueError("trajectory did not absorb all lineages")
-    return ColorNetwork(traj, lineages, mutation_points)
+    return _realize([e[1] for e in traj.events], [e[0] for e in traj.events], traj.start_time, buf)
 
 
 def decorate(params: ModelParams, m: int, rng) -> ColorNetwork:
     """Color network conditioned on producing exactly m mutations.
 
-    The trajectory is an exact draw from the law given M = m by the
+    The jump chain is an exact draw from the law given M = m by the
     excursion decomposition sampler; an m outside the support of its
-    offspring tables raises NumericalFailure.
+    offspring tables raises NumericalFailure.  The draws are those of
+    ``build_color_network(params, sample_conditioned_path(params, m, buf), buf)``.
     """
     buf = rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
-    return build_color_network(params, sample_conditioned_path(params, m, buf), buf)
+    tab = tables(params)
+    kinds, states = conditioned_chain(tab, m, buf)
+    return _realize(kinds, event_times(tab, 1, states, buf), 0.0, buf)
 
 
 @dataclass
@@ -309,12 +336,13 @@ def _color_graph(dec: ColorNetwork) -> tuple:
     sorted breakpoint times of each lineage, the node id of its first
     breakpoint, and the adjacency lists of (node, length).
     """
-    breaks = [[ln.birth_time, ln.end_time] for ln in dec.lineages]
-    for ln in dec.lineages:
-        if ln.parent is not None:
-            breaks[ln.parent[0]].append(ln.parent[1])
-        if ln.end_kind == COALESCENCE:
-            breaks[ln.end_target].append(ln.end_time)
+    parent, birth, end, kinds, target = (getattr(dec, k) for k in _COLUMNS)
+    breaks = [[b, e] for b, e in zip(birth, end)]
+    for i in range(1, len(birth)):
+        breaks[parent[i]].append(birth[i])
+    for i, k in enumerate(kinds):
+        if k == COALESCENCE:
+            breaks[target[i]].append(end[i])
     times, first, adj = [], [], []
     for bs in breaks:
         ts = sorted(set(bs))
@@ -332,11 +360,11 @@ def _color_graph(dec: ColorNetwork) -> tuple:
         adj[x].append((y, 0.0))
         adj[y].append((x, 0.0))
 
-    for ln in dec.lineages:
-        if ln.parent is not None:
-            join(ln.id, ln.birth_time, *ln.parent)
-        if ln.end_kind == COALESCENCE:
-            join(ln.id, ln.end_time, ln.end_target, ln.end_time)
+    for i in range(len(birth)):
+        if i:
+            join(i, birth[i], parent[i], birth[i])
+        if kinds[i] == COALESCENCE:
+            join(i, end[i], target[i], end[i])
     return times, first, adj
 
 
@@ -392,7 +420,7 @@ class GluedNetwork:
             p = tree.parent[v]
             i = tree.children[p].index(v)
             mp = self._glue_point[v] = decorations[p].mutation_points[i]
-            t_rel = mp[1] - decorations[p].trajectory.start_time
+            t_rel = mp[1] - decorations[p].birth_time[0]
             self.root_height[v] = self.root_height[p] + t_rel
         self._depth = tree.depths()
         self.lengths = np.array([d.total_length for d in decorations])
@@ -419,15 +447,15 @@ class GluedNetwork:
         """(vertex, lineage, time) of a point; a reference off the network raises ValueError."""
         if not 0 <= p.vertex < self.tree.n:
             raise ValueError(f"vertex {p.vertex} outside the {self.tree.n} colors")
-        lineages = self.decorations[p.vertex].lineages
-        if not 0 <= p.lineage < len(lineages):
-            raise ValueError(
-                f"lineage {p.lineage} outside the {len(lineages)} lineages of vertex {p.vertex}"
-            )
-        ln = lineages[p.lineage]
-        if not (0.0 <= p.offset <= ln.length + 1e-12):
-            raise ValueError(f"offset {p.offset} outside lineage of length {ln.length}")
-        return p.vertex, p.lineage, ln.birth_time + p.offset
+        dec = self.decorations[p.vertex]
+        n = len(dec.birth_time)
+        if not 0 <= p.lineage < n:
+            raise ValueError(f"lineage {p.lineage} outside the {n} lineages of vertex {p.vertex}")
+        b = dec.birth_time[p.lineage]
+        length = dec.end_time[p.lineage] - b
+        if not (0.0 <= p.offset <= length + 1e-12):
+            raise ValueError(f"offset {p.offset} outside lineage of length {length}")
+        return p.vertex, p.lineage, b + p.offset
 
     def distance(self, a: PointRef, b: PointRef) -> float:
         """Shortest-path distance in the metric graph.
@@ -473,16 +501,14 @@ class GluedNetwork:
 
     def time_coordinate(self, p: PointRef) -> float:
         v, _, t = self._place(p)
-        return self.root_height[v] + (t - self.decorations[v].trajectory.start_time)
+        return self.root_height[v] + (t - self.decorations[v].birth_time[0])
 
     def max_height(self) -> float:
         """Maximum time coordinate over the network (= max distance to root)."""
-        best = 0.0
-        for v, dec in enumerate(self.decorations):
-            t0 = dec.trajectory.start_time
-            h = self.root_height[v] + (dec.trajectory.end_time - t0)
-            best = max(best, h)
-        return best
+        return max(
+            self.root_height[v] + (max(dec.end_time) - dec.birth_time[0])
+            for v, dec in enumerate(self.decorations)
+        )
 
     # -- measure -----------------------------------------------------------
 
@@ -492,14 +518,14 @@ class GluedNetwork:
         if self._len_cdf is None:
             self._len_cdf = np.cumsum(self.lengths)
             self._seg_cdfs = [
-                np.cumsum([ln.length for ln in dec.lineages]) for dec in self.decorations
+                np.cumsum(np.subtract(dec.end_time, dec.birth_time)) for dec in self.decorations
             ]
         v = int(np.searchsorted(self._len_cdf, buf.uniform() * self._len_cdf[-1], side="right"))
         v = min(v, self.tree.n - 1)
         cdf = self._seg_cdfs[v]
         i = min(int(np.searchsorted(cdf, buf.uniform() * cdf[-1], side="right")), len(cdf) - 1)
-        ln = self.decorations[v].lineages[i]
-        return PointRef(v, ln.id, buf.uniform() * ln.length)
+        dec = self.decorations[v]
+        return PointRef(v, i, buf.uniform() * (dec.end_time[i] - dec.birth_time[i]))
 
     # -- serialization ------------------------------------------------------
 
@@ -531,7 +557,7 @@ class GluedNetwork:
             times, first, adj = _color_graph(dec)
             base = len(graph)
             colors.append((base, times, first))
-            t0, H = dec.trajectory.start_time, self.root_height[v]
+            t0, H = dec.birth_time[0], self.root_height[v]
             heights += [H + (t - t0) for ts in times for t in ts]
             graph += [[(base + y, w) for y, w in nbrs] for nbrs in adj]
         for c in range(1, self.tree.n):
@@ -568,10 +594,11 @@ class GluedNetwork:
         write or a lineage (vertex, lineage id, time entered, index of its
         next event) still to write from that time on.
         """
-        events = [_lineage_events(dec) for dec in self.decorations]
+        decs = self.decorations
+        events = [_lineage_events(dec) for dec in decs]
         hybrid = {}
         out = []
-        stack = [(0, 0, self.decorations[0].trajectory.start_time, 0)]
+        stack = [(0, 0, decs[0].birth_time[0], 0)]
         while stack:
             item = stack.pop()
             if isinstance(item, str):
@@ -588,20 +615,17 @@ class GluedNetwork:
                     tag = hybrid.setdefault((v, other, t), f"#H{len(hybrid) + 1}")
                     stack += [f"){tag}:{t - t_from!r}", (v, lid, t, k + 1)]
                 continue
-            ln = self.decorations[v].lineages[lid]
-            t = ln.end_time
-            if ln.end_kind == MUTATION:
-                child = self.tree.children[v][ln.mutation_index]
+            t, kind = decs[v].end_time[lid], decs[v].end_kind[lid]
+            if kind == MUTATION:
+                j = decs[v].mutation_points.index((lid, t))
+                child = self.tree.children[v][j]
                 out.append("(")
-                stack += [
-                    f")mut_v{v}_m{ln.mutation_index}:{t - t_from!r}",
-                    (child, 0, self.decorations[child].trajectory.start_time, 0),
-                ]
-            elif ln.end_kind == COALESCENCE:
+                stack += [f")mut_v{v}_m{j}:{t - t_from!r}", (child, 0, decs[child].birth_time[0], 0)]
+            elif kind == COALESCENCE:
                 tag = hybrid.setdefault((v, lid, t), f"#H{len(hybrid) + 1}")
                 out.append(f"{tag}:{t - t_from!r}")
             else:
-                out.append(f"v{v}_l{lid}_{ln.end_kind}:{t - t_from!r}")
+                out.append(f"v{v}_l{lid}_{kind}:{t - t_from!r}")
         return "".join(out) + ";"
 
 
@@ -618,14 +642,12 @@ def uniform_point(G: GluedNetwork, rng) -> PointRef:
     return G.uniform_point(rng)
 
 
-_tilt_cache: dict = {}
-
-
 def tilted_offspring_cached(params: ModelParams):
-    entry = _tilt_cache.get(params)
-    if entry is None:
-        entry = _tilt_cache[params] = analytics.tilted_offspring(params)
-    return entry
+    """`analytics.tilted_offspring`, kept in the parameter set's ModelTables."""
+    tab = tables(params)
+    if tab.tilt is None:
+        tab.tilt = analytics.tilted_offspring(params)
+    return tab.tilt
 
 
 def sample_network(
@@ -683,12 +705,13 @@ def sample_network(
 def _lineage_events(dec: ColorNetwork) -> list:
     """Per lineage id, the time-ordered (time, "b" | "c", other lineage id) of
     the births off that lineage and the coalescences into it."""
-    events = [[] for _ in dec.lineages]
-    for ln in dec.lineages:
-        if ln.parent is not None:
-            events[ln.parent[0]].append((ln.parent[1], "b", ln.id))
-        if ln.end_kind == COALESCENCE:
-            events[ln.end_target].append((ln.end_time, "c", ln.id))
+    parent, birth, end, kinds, target = (getattr(dec, k) for k in _COLUMNS)
+    events = [[] for _ in birth]
+    for i in range(len(birth)):
+        if i:
+            events[parent[i]].append((birth[i], "b", i))
+        if kinds[i] == COALESCENCE:
+            events[target[i]].append((end[i], "c", i))
     for ls in events:
         ls.sort(key=lambda e: e[0])
     return events
@@ -701,18 +724,16 @@ def _decoration_walk(dec: ColorNetwork, buf: BufferedRng):
     at branch points a fair coin orders the two subtrees.  Every segment of
     the decoration is traversed exactly once, top to bottom.
     """
-    t0 = dec.trajectory.start_time
+    end, kinds, target = dec.end_time, dec.end_kind, dec.end_target
+    t0 = dec.birth_time[0]
     events = _lineage_events(dec)
     # coin per coalescence: True -> detach the ending lineage
-    detach_ender = {
-        ln.id: buf.uniform() < 0.5 for ln in dec.lineages if ln.end_kind == COALESCENCE
-    }
+    detach_ender = {i: buf.uniform() < 0.5 for i, k in enumerate(kinds) if k == COALESCENCE}
     runs = []
     stack = [(0, t0, 0)]  # (lineage id, current time, next event index)
     while stack:
         lid, t, ei = stack.pop()
         while True:
-            ln = dec.lineages[lid]
             evs = events[lid]
             nxt = evs[ei] if ei < len(evs) else None
             if nxt is not None:
@@ -732,11 +753,11 @@ def _decoration_walk(dec: ColorNetwork, buf: BufferedRng):
                 runs.append((t - t0, et - t))  # this incoming side is detached
                 break
             # no further events: walk to this lineage's end
-            runs.append((t - t0, ln.end_time - t))
-            if ln.end_kind == COALESCENCE and not detach_ender[lid]:
+            runs.append((t - t0, end[lid] - t))
+            if kinds[lid] == COALESCENCE and not detach_ender[lid]:
                 # continue through the coalescence point onto the target
-                tgt = ln.end_target
-                te = ln.end_time
+                tgt = target[lid]
+                te = end[lid]
                 evs2 = events[tgt]
                 j = 0
                 while j < len(evs2) and evs2[j][0] <= te:

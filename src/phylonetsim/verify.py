@@ -741,7 +741,7 @@ def distance_oracle_error(G, points) -> float:
 
     def locate(p):
         ts, n0 = segments[(p.vertex, p.lineage)]
-        t = G.decorations[p.vertex].lineages[p.lineage].birth_time + p.offset
+        t = G.decorations[p.vertex].birth_time[p.lineage] + p.offset
         i = max(0, min(bisect_right(ts, t) - 1, len(ts) - 2))
         return (n0 + i, t - ts[i]), (n0 + i + 1, ts[i + 1] - t)
 
@@ -803,7 +803,7 @@ def check_glue_recount(params: ModelParams, seed=18, n=25) -> list:
     n_coal = sum(
         sum(1 for e in d.trajectory.events if e[1] == model.COALESCENCE) for d in G.decorations
     )
-    n_lineages = sum(len(d.lineages) for d in G.decorations)
+    n_lineages = sum(len(d.birth_time) for d in G.decorations)
     expected_nodes = 2 * n_lineages + n_births + n_coal
     expected_edges = (n_lineages + n_births + n_coal) + n_births + n_coal + (G.n_colors - 1)
     n_edges = sum(len(a) for a in G._graph) // 2
@@ -852,15 +852,15 @@ def check_uniform_point(params: ModelParams, seed=20, n=25, n_points=40_000, alp
     rng = RngStream(seed, 123_456)
     vs = np.empty(n_points, dtype=int)
     offs = []
-    target = max(
-        ((v, ln) for v in range(G.n_colors) for ln in G.decorations[v].lineages),
-        key=lambda p: p[1].length,
+    target = max(  # (vertex, lineage, length) of the longest lineage
+        ((v, i, e - b) for v, d in enumerate(G.decorations) for i, (b, e) in enumerate(zip(d.birth_time, d.end_time))),
+        key=lambda p: p[2],
     )
     for i in range(n_points):
         x = G.uniform_point(rng.substream(i))
         vs[i] = x.vertex
-        if x.vertex == target[0] and x.lineage == target[1].id:
-            offs.append(x.offset / target[1].length)
+        if x.vertex == target[0] and x.lineage == target[1]:
+            offs.append(x.offset / target[2])
     probs = np.asarray(G.lengths) / G.total_length
     c1 = chi2_vs_expected("uniform_point_color_freq", vs, probs, alpha)
     ks, p = stats.kstest(np.asarray(offs), "uniform")
@@ -1129,7 +1129,7 @@ def check_finite_n_local(
         G = network.sample_network(params, n, rng.substream(0))
         x = G.uniform_point(rng.substream(1))
         dec = G.decorations[x.vertex]
-        t_abs = dec.lineages[x.lineage].birth_time + x.offset
+        t_abs = dec.birth_time[x.lineage] + x.offset
         Ns[i] = dec.trajectory.state_at(t_abs)
         out_deg[i] = G.tree.outdegree(x.vertex)
         t_since[i] = t_abs - dec.trajectory.start_time
@@ -1171,7 +1171,7 @@ def check_time_since_mutation(params: ModelParams, seed=27, n_networks=300, n=20
         G = network.sample_network(params, n, rng.substream(0))
         x = G.uniform_point(rng.substream(1))
         dec = G.decorations[x.vertex]
-        t_abs = dec.lineages[x.lineage].birth_time + x.offset
+        t_abs = dec.birth_time[x.lineage] + x.offset
         ks.append(dec.trajectory.state_at(t_abs))
         ts.append(t_abs - dec.trajectory.start_time)
     ks = np.asarray(ks)

@@ -4,7 +4,7 @@ import pytest
 
 from phylonetsim import ModelParams, RngStream
 from phylonetsim.cli import SCHEMA_VERSION, main
-from phylonetsim.network import GluedNetwork, sample_network
+from phylonetsim.network import ColorNetwork, GluedNetwork, contour, sample_network
 
 
 def run_to_file(tmp_path, name, argv):
@@ -149,6 +149,28 @@ class TestSimulate:
             ["simulate", "--alpha", "1", "--beta", "1", "--mu", "1", "--n", "4", "--seed", "5", "--format", "csv"],
         )
         assert raw.decode().splitlines()[0] == "source,target,weight,source_time,target_time"
+
+
+class TestColumnsOnly:
+    def test_package_never_reads_lineages(self, tmp_path, monkeypatch):
+        # every reader in the package uses the columns; lineages is for outside readers
+        def forbidden(self):
+            raise AssertionError("ColorNetwork.lineages read inside the package")
+
+        monkeypatch.setattr(ColorNetwork, "lineages", property(forbidden))
+        G = sample_network(ModelParams(1.0, 1.0, 1.0), 60, RngStream(23))
+        out = {}
+        for fmt in ("json", "csv", "newick"):
+            code, out[fmt] = run_to_file(tmp_path, f"g.{fmt}", ["simulate", "--n", "60", "--seed", "23", "--format", fmt])
+            assert code == 0 and out[fmt]
+        back = GluedNetwork.from_json_dict(json.loads(out["json"])["networks"][0])
+        assert back.total_length == G.total_length
+        a, b = G.uniform_point(RngStream(24)), G.uniform_point(RngStream(25))
+        assert G.distance(a, b) == G.distance(b, a)
+        assert G.height(a) == pytest.approx(G.time_coordinate(a), rel=1e-12)
+        assert G.max_height() >= G.height(b)
+        _, heights, _ = contour(G, RngStream(26), 256)
+        assert heights.max() <= G.max_height() + 1e-12
 
 
 class TestContour:

@@ -7,7 +7,7 @@ import pytest
 from phylonetsim import ModelParams, RngStream, analytics, limits
 from phylonetsim.cli import NUMERIC_ERRORS
 from phylonetsim.errors import GlueError, NumericalFailure, RetryBudgetError
-from phylonetsim.model import BIRTH, COALESCENCE, DEATH, MUTATION
+from phylonetsim.model import BIRTH, COALESCENCE, DEATH, MUTATION, sample_conditioned_path
 from phylonetsim.network import (
     ColorNetwork,
     GenealogyTree,
@@ -58,6 +58,24 @@ class TestDecorate:
         assert NumericalFailure in NUMERIC_ERRORS
         with pytest.raises(NumericalFailure):
             decorate(P111, 300, BufferedRng(RngStream(424)))
+
+    @pytest.mark.parametrize(
+        "params", [P111, ModelParams(0.5, 2.0, 0.5), ModelParams(2.0, 0.5, 0.1), ModelParams(0.3, 0.3, 1.0)]
+    )
+    def test_one_pass_equals_path_then_lineages(self, params):
+        # decorate draws exactly what the path sampler and the lineage loop draw on one stream
+        one, two = BufferedRng(RngStream(441)), BufferedRng(RngStream(441))
+        for m in range(9):
+            for _ in range(4):
+                dec = decorate(params, m, one)
+                path = sample_conditioned_path(params, m, two)
+                ref = build_color_network(params, path, two)
+                for col in ("parent", "birth_time", "end_time", "end_kind", "end_target", "mutation_points"):
+                    assert getattr(dec, col) == getattr(ref, col)
+                assert dec.trajectory.events == ref.trajectory.events == path.events
+                assert dec.trajectory.start_time == path.start_time == 0.0
+                assert dec.lineages == ref.lineages and dec.lineages is not dec.lineages
+        assert one.uniform() == two.uniform()
 
     def test_coalescence_needs_two(self):
         # a trajectory sitting at state 1 can only end by death or mutation
