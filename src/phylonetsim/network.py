@@ -304,17 +304,22 @@ def sample_genealogy_tree(
 ) -> GenealogyTree:
     """Galton-Watson tree with the critically tilted offspring law, given n vertices.
 
-    Draws n i.i.d. outdegrees until they sum to n - 1, then rotates the
-    sequence into the unique valid preorder encoding (cycle lemma).
+    The law of n i.i.d. outdegrees given that they sum to n - 1 depends on
+    the sequence only through its counts N_k of each outdegree k, and given
+    the counts every order is equally likely.  So the counts are drawn as a
+    multinomial until sum k N_k = n - 1, laid out in a uniform order, and
+    the sequence is rotated into the unique valid preorder encoding (cycle
+    lemma).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     support = np.arange(len(tilted_probs))
     for attempt in range(1, max_retries + 1):
-        degs = gen.choice(support, size=n, p=tilted_probs)
-        if int(degs.sum()) == n - 1:
-            return GenealogyTree.from_preorder_outdegrees(_rotate_to_valid(degs))
+        counts = gen.multinomial(n, tilted_probs)
+        if int(support @ counts) == n - 1:
+            degs = gen.permutation(np.repeat(support, counts))
+            return GenealogyTree.from_preorder_outdegrees(_rotate_to_valid(degs).tolist())
     raise RetryBudgetError("cycle sampler exhausted retries", max_retries, 1.0 / max_retries)
 
 
