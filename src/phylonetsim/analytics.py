@@ -387,22 +387,31 @@ def nu_circ_pmf(params: ModelParams, tol: float = 1e-12) -> NuCircPmf:
     could pass 1e300, so they stay finite where E[M] itself overflows; the
     weights far below the current one then underflow to 0, as they are
     negligible against the sum.
+
+    The stopping test compares the tail with tol times the exactly rounded
+    sum of the weights.  A running sum of these positive weights is within
+    a relative n eps of that sum, so fsum runs only where the running sum,
+    widened by 4 (n + 2) eps, would pass the test: the stopping index is
+    the one the exact test gives at every state.
     """
     weights = []
     w = 1.0
+    total = 0.0  # running sum of the weights
     n = 0
     while True:
         n += 1
         rho = params.rho(n)
         if w > 1e300 * rho:
             weights = [v / w for v in weights]
+            total = sum(weights)
             w = 1.0
         w /= rho
         weights.append(w)
+        total += w
         r = 1.0 / params.rho(n + 1)
         if r < 1.0:
             tail = w * r / (1.0 - r)
-            if tail <= tol * math.fsum(weights):
+            if tail <= tol * total * (1.0 + 4.0 * (n + 2) * EPS) and tail <= tol * math.fsum(weights):
                 break
         if n > 1_000_000:
             raise NumericalFailure("nu_circ weights failed to converge")

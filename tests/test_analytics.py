@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import time
@@ -286,6 +287,29 @@ class TestNuCirc:
         assert V.check_nu_stationarity(P111).passed
         assert V.check_nu_stationarity(P222).passed
 
+    def test_stopping_rule_is_the_exact_one(self):
+        # oracle: the O(n^2) rule with the exactly rounded sum at every state
+        def exact_rule(params, tol=1e-12):
+            weights, w, n = [], 1.0, 0
+            while True:
+                n += 1
+                rho = params.rho(n)
+                if w > 1e300 * rho:
+                    weights, w = [v / w for v in weights], 1.0
+                w /= rho
+                weights.append(w)
+                r = 1.0 / params.rho(n + 1)
+                if r < 1.0 and w * r / (1.0 - r) <= tol * math.fsum(weights):
+                    total = math.fsum(weights)
+                    return np.asarray(weights) / total, w * r / (1.0 - r) / total
+
+        grid = [10 ** (k / 2) for k in range(-4, 3)]
+        for a, b, m in itertools.product(grid, grid, grid):
+            params = ModelParams(a, b, m)
+            probs, tail = exact_rule(params)
+            nu = nu_circ_pmf(params)
+            assert nu.probs.tobytes() == probs.tobytes() and nu.tail_bound == tail
+
 
 class TestDomain:
     """Every point of the box gets finite values or a typed error, never inf or NaN."""
@@ -322,7 +346,9 @@ class TestDomain:
     def test_overflowing_mean_is_typed(self):
         # E[M] ~ e^1339 here: nu_circ stays a finite pmf, E[M] names the regime
         params = ModelParams(0.05, 0.0005, 0.05)
-        nu = nu_circ_pmf(params)
+        t0 = time.perf_counter()
+        nu = nu_circ_pmf(params)  # 2 124 states
+        assert time.perf_counter() - t0 < 0.25
         assert np.all(np.isfinite(nu.probs)) and abs(math.fsum(nu.probs) - 1.0) <= 1e-12
         t0 = time.perf_counter()
         with pytest.raises(NumericalFailure, match="not representable"):
