@@ -142,9 +142,14 @@ class ColorNetwork:
         The mutation points and the trajectory are not written: they follow
         exactly from the columns.
         """
-        d = {k: getattr(self, k) for k in _COLUMNS}
-        d["focal_point"] = list(self.focal_point) if self.focal_point else None
-        return d
+        return {
+            "parent": self.parent,
+            "birth_time": self.birth_time,
+            "end_time": self.end_time,
+            "end_kind": self.end_kind,
+            "end_target": self.end_target,
+            "focal_point": list(self.focal_point) if self.focal_point else None,
+        }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ColorNetwork":
@@ -341,7 +346,7 @@ def _color_graph(dec: ColorNetwork) -> tuple:
     sorted breakpoint times of each lineage, the node id of its first
     breakpoint, and the adjacency lists of (node, length).
     """
-    parent, birth, end, kinds, target = (getattr(dec, k) for k in _COLUMNS)
+    parent, birth, end, kinds, target = dec.parent, dec.birth_time, dec.end_time, dec.end_kind, dec.end_target
     breaks = [[b, e] for b, e in zip(birth, end)]
     for i in range(1, len(birth)):
         breaks[parent[i]].append(birth[i])
@@ -710,7 +715,7 @@ def sample_network(
 def _lineage_events(dec: ColorNetwork) -> list:
     """Per lineage id, the time-ordered (time, "b" | "c", other lineage id) of
     the births off that lineage and the coalescences into it."""
-    parent, birth, end, kinds, target = (getattr(dec, k) for k in _COLUMNS)
+    parent, birth, end, kinds, target = dec.parent, dec.birth_time, dec.end_time, dec.end_kind, dec.end_target
     events = [[] for _ in birth]
     for i in range(len(birth)):
         if i:
