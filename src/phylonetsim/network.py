@@ -17,7 +17,7 @@ schema-2 JSON form (see `ColorNetwork`).  `decorate` fills them in one
 pass: it draws the conditioned jump chain, attaches the holding times and
 assigns the lineages, with no per-event or per-lineage objects.  The
 marked trajectory and `Lineage` records are derived from the columns on
-request; every reader in this package uses the columns.
+each request and not kept; every reader in this package uses the columns.
 
 Every glue point is a cut vertex, and every edge is as long as the time it
 spans.  So a shortest path leaves a color only through its root or one of
@@ -88,14 +88,15 @@ class ColorNetwork:
     - ``focal_point``: (lineage id, time) or None.
 
     A lineage is attached to its parent at its own birth time, and the color
-    starts at ``birth_time[0]``.  ``trajectory`` is derived from the columns
-    on first read and kept: it starts in state 1, and its events are the
-    births of lineages 1, 2, ... and every end, in time order, with the
-    state counted along the way.  ``lineages`` builds `Lineage` records
-    anew on every read, for readers outside the package.
+    starts at ``birth_time[0]``.  ``trajectory`` and ``lineages`` are
+    derived from the columns anew on every read, and nothing derived is
+    kept.  The trajectory starts in state 1, and its events are the births
+    of lineages 1, 2, ... and every end, in time order, with the state
+    counted along the way.  ``lineages`` lists `Lineage` records, for
+    readers outside the package.
     """
 
-    __slots__ = (*_COLUMNS, "mutation_points", "focal_point", "_trajectory")
+    __slots__ = (*_COLUMNS, "mutation_points", "focal_point")
 
     def __init__(self, parent, birth_time, end_time, end_kind, end_target, mutation_points, focal_point=None):
         self.parent = parent
@@ -105,19 +106,16 @@ class ColorNetwork:
         self.end_target = end_target
         self.mutation_points = mutation_points
         self.focal_point = focal_point
-        self._trajectory = None
 
     @property
     def trajectory(self) -> MarkedTrajectory:
-        if self._trajectory is None:
-            birth = self.birth_time
-            marks = sorted([(t, BIRTH) for t in birth[1:]] + list(zip(self.end_time, self.end_kind)))
-            events, s = [], 1
-            for t, kind in marks:
-                s += 1 if kind == BIRTH else -1
-                events.append((t, kind, s))
-            self._trajectory = MarkedTrajectory(1, events, birth[0])
-        return self._trajectory
+        birth = self.birth_time
+        marks = sorted([(t, BIRTH) for t in birth[1:]] + list(zip(self.end_time, self.end_kind)))
+        events, s = [], 1
+        for t, kind in marks:
+            s += 1 if kind == BIRTH else -1
+            events.append((t, kind, s))
+        return MarkedTrajectory(1, events, birth[0])
 
     @property
     def lineages(self) -> list:

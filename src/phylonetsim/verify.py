@@ -1044,7 +1044,7 @@ def check_focal_sampler(params: ModelParams, seed=23, n=30_000, alpha=0.01) -> l
     for i in range(n):
         net, w = limits.sample_focal_network(params, zeta, buf)
         Ns[i] = len(net.alive_at(0.0))
-        Ms[i] = net.trajectory.M
+        Ms[i] = len(net.mutation_points)
         Ws[i] = w
     tab = limits.prob_N_table(params, zeta)
     kcap = 8
@@ -1072,7 +1072,7 @@ def check_spinal_sampler(params: ModelParams, seed=24, n=30_000, alpha=0.01) -> 
     ok_mut = True
     for i in range(n):
         net, w = limits.sample_spinal_network(params, zeta, buf)
-        Ms[i] = net.trajectory.M
+        Ms[i] = len(net.mutation_points)
         Ws[i] = w
         ok_mut &= net.focal_point is not None and net.focal_point[1] == 0.0
     c0 = Check("spinal_focal_is_time0_mutation", ok_mut, 0.0, 0.0)
@@ -1143,7 +1143,7 @@ def check_finite_n_local(
     Wd = np.empty(ball_samples)
     for i in range(ball_samples):
         net, w = limits.sample_focal_network(params, zeta, buf)
-        Md[i] = net.trajectory.M
+        Md[i] = len(net.mutation_points)
         Wd[i] = w
     mcap = 8
     c2 = weighted_two_sample(
