@@ -76,6 +76,7 @@ _COLUMNS = ("parent", "birth_time", "end_time", "end_kind", "end_target")
 _END_KINDS = {MUTATION, DEATH, COALESCENCE}
 
 
+@dataclass(slots=True)
 class ColorNetwork:
     """One color's lineage network, as columns indexed by lineage id.
 
@@ -96,16 +97,13 @@ class ColorNetwork:
     readers outside the package.
     """
 
-    __slots__ = (*_COLUMNS, "mutation_points", "focal_point")
-
-    def __init__(self, parent, birth_time, end_time, end_kind, end_target, mutation_points, focal_point=None):
-        self.parent = parent
-        self.birth_time = birth_time
-        self.end_time = end_time
-        self.end_kind = end_kind
-        self.end_target = end_target
-        self.mutation_points = mutation_points
-        self.focal_point = focal_point
+    parent: list
+    birth_time: list
+    end_time: list
+    end_kind: str
+    end_target: list
+    mutation_points: list
+    focal_point: tuple | None = None
 
     @property
     def trajectory(self) -> MarkedTrajectory:
