@@ -622,15 +622,28 @@ def analytics_suite(params: ModelParams, seed: int = 42, scale: float = 1.0) -> 
 # -- network suite -----------------------------------------------------------
 
 
+_DECORATION_FIELDS = ("parent", "birth_time", "end_time", "end_kind", "end_target", "mutation_points")
+
+
 def check_decoration_consistency(params: ModelParams, seed=13, n_samples=300) -> Check:
-    """Alive-count reconstruction, mutation bookkeeping and length identity."""
-    buf = BufferedRng(RngStream(seed))
+    """Each decoration against the trajectory it was realized from.
+
+    `decorate` keeps only the lineage columns, so its trajectory is redrawn
+    on a twin stream by `sample_conditioned_path`, whose draws it repeats.
+    Checked against that trajectory: the columns the lineage loop builds
+    from it, the derived trajectory, the alive count between events, the
+    mutation points and the total length.
+    """
+    buf, twin = BufferedRng(RngStream(seed)), BufferedRng(RngStream(seed))
     ok = True
     worst = 0.0
     for i in range(n_samples):
         m = i % 3
         dec = network.decorate(params, m, buf)
-        tr = dec.trajectory
+        tr = model.sample_conditioned_path(params, m, twin)
+        ref = network.build_color_network(params, tr, twin)
+        ok &= all(getattr(dec, c) == getattr(ref, c) for c in _DECORATION_FIELDS)
+        ok &= dec.trajectory.events == tr.events and dec.trajectory.start_time == tr.start_time
         s = tr.initial_state
         t_prev = tr.start_time
         for t, kind, s_after in tr.events:

@@ -4,7 +4,9 @@ import pytest
 
 from phylonetsim import ModelParams, RngStream
 from phylonetsim.cli import SCHEMA_VERSION, main
-from phylonetsim.network import ColorNetwork, GluedNetwork, contour, sample_network
+from phylonetsim.model import sample_conditioned_path
+from phylonetsim.network import ColorNetwork, GluedNetwork, build_color_network, contour, sample_network
+from phylonetsim.rng import BufferedRng
 
 
 def run_to_file(tmp_path, name, argv):
@@ -107,13 +109,18 @@ class TestSimulate:
         # compact, key-sorted, one line
         assert raw.decode() == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
         back = GluedNetwork.from_json_dict(doc["networks"][0])
-        G = sample_network(ModelParams(1.0, 1.0, 1.0), 200, RngStream(21, 0))
+        params = ModelParams(1.0, 1.0, 1.0)
+        G = sample_network(params, 200, RngStream(21, 0))
         assert back.tree.parent == G.tree.parent and back.tree.children == G.tree.children
-        for b, d in zip(back.decorations, G.decorations, strict=True):
+        # the decorations' stream, replayed through the path sampler and the lineage loop
+        twin = BufferedRng(RngStream(21, 0).substream(1))
+        for v, (b, d) in enumerate(zip(back.decorations, G.decorations, strict=True)):
+            path = sample_conditioned_path(params, G.tree.outdegree(v), twin)
+            build_color_network(params, path, twin)
             assert b.lineages == d.lineages
             assert b.mutation_points == d.mutation_points
-            assert b.trajectory.events == d.trajectory.events
-            assert b.trajectory.start_time == d.trajectory.start_time
+            assert b.trajectory.events == path.events
+            assert b.trajectory.start_time == path.start_time
 
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["simulate", "--n", "50", "--seed", "22", "--count", "2"]

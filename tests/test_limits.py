@@ -16,12 +16,27 @@ from phylonetsim.limits import (
     sample_spinal_network,
     verify_crt_scaling,
 )
-from phylonetsim.network import tilted_offspring_cached
+from phylonetsim.network import build_color_network, tilted_offspring_cached
 from phylonetsim.rng import BufferedRng
+import phylonetsim.limits as limits
 import phylonetsim.verify as V
 
 P111 = ModelParams(1.0, 1.0, 1.0)
 P222 = ModelParams(0.2, 0.2, 0.2)
+
+
+@pytest.fixture
+def pasted(monkeypatch):
+    """(pasted trajectory, network) of every color the limit samplers paste, in order."""
+    seen = []
+
+    def recording(params, traj, rng):
+        net = build_color_network(params, traj, rng)
+        seen.append((traj, net))
+        return net
+
+    monkeypatch.setattr(limits, "build_color_network", recording)
+    return seen
 
 
 def excursion_ell(params: ModelParams, zeta: float, depth: int = 200) -> tuple:
@@ -145,11 +160,36 @@ class TestFocalSpinal:
             assert w == 1.0
             assert net.focal_point is not None and net.focal_point[1] == 0.0
 
-    def test_focal_alive_count_is_K(self):
+    def test_focal_alive_count_is_K(self, pasted):
         buf = BufferedRng(RngStream(508))
         for _ in range(100):
             net, _ = sample_focal_network(P111, 1.0, buf)
-            assert len(net.alive_at(0.0)) == net.trajectory.pre_zero_state()
+            traj, kept = pasted[-1]
+            assert kept is net and len(net.alive_at(0.0)) == traj.pre_zero_state()
+
+    def test_derived_trajectory_is_the_pasted_one(self, pasted):
+        # a network keeps only its columns; the trajectory read from them must be
+        # the pasted one, negative start time and time-0 event included
+        zeta = zeta_tilt(P111).zeta
+        buf = BufferedRng(RngStream(512))
+        for _ in range(30):
+            sample_focal_network(P111, zeta, buf)
+            sample_spinal_network(P111, zeta, buf)
+        for i in range(5):
+            sample_local_ball(P111, zeta, 2, RngStream(513, i))
+        assert any(traj.start_time < 0 for traj, _ in pasted)
+        assert any(e[0] == 0.0 for traj, _ in pasted for e in traj.events)
+        for traj, net in pasted:
+            derived = net.trajectory
+            assert derived.initial_state == traj.initial_state == 1
+            assert derived.start_time == traj.start_time
+            assert derived.events == traj.events
+            t_prev, s = traj.start_time, traj.initial_state
+            for t, _, s_after in traj.events:
+                assert len(net.alive_at(0.5 * (t_prev + t))) == s
+                t_prev, s = t, s_after
+            assert [t for _, t in net.mutation_points] == traj.mutation_times()
+            assert net.total_length == pytest.approx(traj.L, rel=1e-12, abs=1e-12)
 
 
 class TestLocalBall:

@@ -201,8 +201,16 @@ class TestSchema2:
     def test_chain_round_trip_exact(self):
         _assert_network_round_trip(_chain_network(400, BufferedRng(RngStream(435))))
 
-    def test_local_ball_round_trip_exact(self):
+    def test_local_ball_round_trip_exact(self, monkeypatch):
         # pasted decorations: negative start times and an event at time 0
+        pasted = {}
+
+        def recording(params, traj, rng):
+            net = build_color_network(params, traj, rng)
+            pasted[id(net)] = traj
+            return net
+
+        monkeypatch.setattr(limits, "build_color_network", recording)
         zeta = analytics.zeta_tilt(P111).zeta
         buf = BufferedRng(RngStream(436))
         decs = []
@@ -213,9 +221,14 @@ class TestSchema2:
             ball = limits.sample_local_ball(P111, zeta, 2, RngStream(437, i))
             decs += [v.decoration for v in ball.vertices]
         assert all(d.focal_point is not None for d in decs[:40])
-        assert any(d.trajectory.start_time < 0 for d in decs)
+        assert all(id(d) in pasted for d in decs[:40])
+        assert any(traj.start_time < 0 for traj in pasted.values())
         for dec in decs:
-            _assert_same_decoration(ColorNetwork.from_json_dict(_through_json(dec.to_json_dict())), dec)
+            back = ColorNetwork.from_json_dict(_through_json(dec.to_json_dict()))
+            _assert_same_decoration(back, dec)
+            if id(dec) in pasted:  # the trajectory read back is the one pasted
+                assert back.trajectory.events == pasted[id(dec)].events
+                assert back.trajectory.start_time == pasted[id(dec)].start_time
 
     def test_columns_only(self):
         dec = decorate(P111, 3, BufferedRng(RngStream(438)))
