@@ -175,9 +175,10 @@ def event_times(tab: ModelTables, x0: int, states: list, buf: BufferedRng, start
     """Event times of a jump chain from x0, given its states after each jump.
 
     The holding times are drawn after the chain, in one block: they are
-    independent of the marks.  The chain has grown the rate rows through
-    every state it visited.
+    independent of the marks.
     """
+    if states:
+        tab.grow(max(x0, max(states)))
     hold = tab.hold
     times, t, k = [], start_time, x0
     for e, s in zip(buf.exponentials(len(states)).tolist(), states):

@@ -133,10 +133,11 @@ class ColorNetwork:
         return [i for i, (b, e) in enumerate(zip(self.birth_time, self.end_time)) if b <= t < e]
 
     def to_json_dict(self) -> dict:
-        """The schema-2 columns (the stored lists themselves) and the focal point.
+        """The schema-2 columns and the focal point.
 
-        The mutation points and the trajectory are not written: they follow
-        exactly from the columns.
+        The column lists are the network's own, not copies: a caller that
+        edits them edits the network.  The mutation points and the
+        trajectory are not written: they follow exactly from the columns.
         """
         return {
             "parent": self.parent,
@@ -150,6 +151,9 @@ class ColorNetwork:
     @classmethod
     def from_json_dict(cls, d: dict) -> "ColorNetwork":
         """Validate and store the schema-2 columns of `to_json_dict`.
+
+        The network keeps the document's column lists, not copies: a caller
+        that edits them afterwards edits the network.
 
         A document that is not schema 2 (such as a schema-1 decoration with
         ``lineages`` and ``trajectory`` keys), columns of unequal length and
