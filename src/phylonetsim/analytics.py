@@ -419,8 +419,29 @@ def nu_circ_pmf(params: ModelParams, tol: float = 1e-12) -> NuCircPmf:
     return NuCircPmf(np.asarray(weights) / total, tail / total)
 
 
+def _kept(params: ModelParams, name: str, tol: float, solve):
+    """solve(params, tol), kept in the parameter set's ModelTables by (name, tol).
+
+    A typed error propagates and nothing is kept, so it is raised again on
+    the next call.
+    """
+    memo = tables(params).memo
+    key = (name, tol)
+    if key not in memo:
+        memo[key] = solve(params, tol)
+    return memo[key]
+
+
 def zeta_tilt(params: ModelParams, tol: float = 1e-10) -> TiltSolution:
-    """Exponential tilt of M with mean 1: solves E[M zeta^M] = E[zeta^M]."""
+    """Exponential tilt of M with mean 1: solves E[M zeta^M] = E[zeta^M].
+
+    Solved once per parameter set and tol; see :func:`_kept`.
+    """
+    return _kept(params, "zeta_tilt", tol, _solve_tilt)
+
+
+def _solve_tilt(params: ModelParams, tol: float) -> TiltSolution:
+    """The bisection behind :func:`zeta_tilt`."""
     inner_tol = 1e-12
 
     def phi(s: float) -> float:
@@ -516,7 +537,15 @@ def _growth_series(params: ModelParams, lam: float, tol: float) -> float:
 
 
 def malthusian(params: ModelParams, tol: float = 1e-10) -> float:
-    """Growth rate of the color count: solves E[M] E_circ[e^{-lam T}] = 1."""
+    """Growth rate of the color count: solves E[M] E_circ[e^{-lam T}] = 1.
+
+    Solved once per parameter set and tol; see :func:`_kept`.
+    """
+    return _kept(params, "malthusian", tol, _solve_growth_rate)
+
+
+def _solve_growth_rate(params: ModelParams, tol: float) -> float:
+    """The root search behind :func:`malthusian`."""
     psi = lambda lam: _growth_series(params, lam, tol)
     em = expected_M(params, 1e-13).midpoint
     bound = -(1.0 + params.alpha + params.mu)

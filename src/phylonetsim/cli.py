@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -343,7 +344,9 @@ def cmd_verify(cfg: RunConfig, suite: str, scale: float, replicates: int) -> int
     return 0 if passed else 1
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="phylonetsim", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -101,18 +101,18 @@ def reversal_mark_factor(params: ModelParams, zeta: float, k: int) -> float:
     return out
 
 
-def crt_constants(
-    params: ModelParams, rng: RngStream, n_samples: int = 100_000, k_cap: int = 40
-) -> CrtConstants:
+def crt_constants(params: ModelParams, rng: RngStream, n_samples: int = 100_000) -> CrtConstants:
     """Monte Carlo + closed-form estimates of the CRT scaling constants.
 
     E[U*] is estimated twice: (1) self-normalized weighted MC over raw
     trajectories, and (2) the nu_circ decomposition with per-state Monte
-    Carlo for E_k[T zeta^M] (with the reversal mark factor).  ell is the
-    weighted raw estimate, cross-checked by plain MC under the measure
-    change mu -> zeta mu.  All runs are batched: substream 0 holds the raw
-    runs, substream k the runs from state k (k <= k_cap), and substream
-    k_cap + 1 the tilted runs.
+    Carlo for E_k[T zeta^M] (with the reversal mark factor), over every
+    state that ``nu_circ_pmf`` returns; its ``tail_bound`` bounds the
+    nu_circ mass left out.  ell is the weighted raw estimate, cross-checked
+    by plain MC under the measure change mu -> zeta mu.  All runs are
+    batched, in three calls: substream 0 holds the raw runs, substream 1
+    the per-state runs (max(400, n_samples nu_circ(k)) from each state k, in
+    order of k) and substream 41 the tilted runs.
     """
     tilt = analytics.zeta_tilt(params)
     zeta, EzM = tilt.zeta, tilt.E_zetaM
@@ -126,27 +126,28 @@ def crt_constants(
 
     # estimator (2): zeta E[M]/E[zeta^M] * sum_k nu(k) E_k[T zeta^M]
     #                * E_{k-1}[zeta^M] / prod_{j<=k} c_j
-    nu = analytics.nu_circ_pmf(params)
-    kmax = min(nu.probs.size, k_cap)
+    probs = analytics.nu_circ_pmf(params).probs
+    n_ks = np.maximum(400, (n_samples * probs).astype(np.int64))
+    runs = simulate_batch(
+        params, np.repeat(np.arange(1, probs.size + 1), n_ks), int(n_ks.sum()), rng.substream(1)
+    )
+    vals = runs.T * zeta**runs.M
     total, var_total = 0.0, 0.0
-    for k in range(1, kmax + 1):
-        n_k = max(400, int(n_samples * float(nu.probs[k - 1])))
-        runs = simulate_batch(params, k, n_k, rng.substream(k))
-        vals = runs.T * zeta**runs.M
+    for k, vals_k in enumerate(np.split(vals, np.cumsum(n_ks)[:-1]), start=1):
         coef = (
             zeta
             * EM
-            * float(nu.probs[k - 1])
+            * float(probs[k - 1])
             * analytics.pgf_from_state(params, k - 1, zeta, tol=1e-10).midpoint
             / (EzM * reversal_mark_factor(params, zeta, k))
         )
-        total += coef * float(vals.mean())
-        var_total += (coef * float(vals.std()) / math.sqrt(n_k)) ** 2
+        total += coef * float(vals_k.mean())
+        var_total += (coef * float(vals_k.std()) / math.sqrt(vals_k.size)) ** 2
     eu2 = Estimate(total, math.sqrt(var_total), n_samples)
 
     # ell cross-check through the measure change E[L zeta^M] = E_{zeta mu}[L e^{(zeta-1) mu L}]
     tilted = ModelParams(params.alpha, params.beta, zeta * params.mu)
-    runs = simulate_batch(tilted, 1, n_samples, rng.substream(k_cap + 1))
+    runs = simulate_batch(tilted, 1, n_samples, rng.substream(41))
     X = runs.L * np.exp((zeta - 1.0) * params.mu * runs.L)
     ell2 = Estimate(float(X.mean()) / EzM, float(X.std()) / math.sqrt(n_samples) / EzM, n_samples)
 

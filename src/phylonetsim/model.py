@@ -6,10 +6,11 @@ state ``k`` it jumps to ``k+1`` at rate ``k`` and to ``k-1`` at rate
 with probabilities ``mu/rho_k``, ``alpha/rho_k``, ``(k-1)*beta/rho_k``.
 ``simulate_trajectory`` draws one marked path; ``simulate_batch`` draws
 only the summaries M, T, L and the sum of mutation times of many runs at
-once, advancing all live runs one jump per NumPy step, for Monte Carlo that
-reads nothing else.  This module also provides the trajectory viewed from a
-uniformly chosen mutation, built by back-to-back pasting of two independent
-runs started from a state drawn from the size-weighted law ``nu_circ``.
+once, from one start state or one per run, advancing all live runs one jump
+per NumPy step, for Monte Carlo that reads nothing else.  This module also
+provides the trajectory viewed from a uniformly chosen mutation, built by
+back-to-back pasting of two independent runs started from a state drawn
+from the size-weighted law ``nu_circ``.
 """
 
 from __future__ import annotations
@@ -229,27 +230,34 @@ def _batch_rates(params: ModelParams, size: int):
     return tuple(np.array(c[1:2] + c[1:size]) for c in (tab.up, tab.mut, tab.hold))
 
 
-def simulate_batch(params: ModelParams, x0: int, n: int, rng: RngStream) -> TrajectoryStats:
-    """M, T, L and the sum of mutation times of n independent runs from x0.
+def simulate_batch(params: ModelParams, x0, n: int, rng: RngStream) -> TrajectoryStats:
+    """M, T, L and the sum of mutation times of n independent runs.
 
-    The same embedded chain and holding times as :func:`simulate_trajectory`,
-    advanced for all live runs at once: each step draws one uniform and one
+    ``x0`` is the start state of every run, or an integer array of the n
+    per-run start states; entry i of each result belongs to run i.  The same
+    embedded chain and holding times as :func:`simulate_trajectory`, advanced
+    for all live runs at once: each step draws one uniform and one
     exponential per live run from ``rng.generator()``.  Death and coalescence
     are not told apart, since none of the four statistics depends on which
-    one happened.  Runs go in blocks of ``BATCH_BLOCK``, so the working set
-    does not grow with n; finished runs are compacted out after each step.
-    A run still alive after ``DEFAULT_EVENT_CAP`` events raises
+    one happened.  Runs go in blocks of ``BATCH_BLOCK``, in index order, so
+    the working set does not grow with n; finished runs are compacted out
+    after each step.  A start state below 1 raises ValueError, and a run
+    still alive after ``DEFAULT_EVENT_CAP`` events raises
     :class:`EventCapError`, as in the scalar simulator.
     """
-    if x0 < 1:
-        raise ValueError(f"x0 must be >= 1, got {x0}")
+    starts = np.asarray(x0)
+    if not np.issubdtype(starts.dtype, np.integer):
+        raise ValueError(f"x0 must be an int or an integer array, got dtype {starts.dtype}")
+    if starts.size and starts.min() < 1:
+        raise ValueError(f"x0 must be >= 1, got {starts.min()}")
+    starts = np.broadcast_to(starts.astype(np.int64), (n,))
     gen = rng.generator()
     M, TLS = np.zeros(n, dtype=np.int64), np.zeros((3, n))
-    size = 2 * x0 + 64
+    size = 2 * int(starts.max(initial=1)) + 64
     p_up, p_mut, hold = _batch_rates(params, size)
     for lo in range(0, n, BATCH_BLOCK):
         idx = np.arange(lo, min(n, lo + BATCH_BLOCK))
-        k = np.full(idx.size, x0, dtype=np.int64)
+        k = starts[idx]
         acc = np.zeros((4, idx.size))  # rows M, T, L, S of the live runs
         events = 0
         while idx.size:

@@ -46,15 +46,18 @@ class ModelTables:
     state) is never read.  The other slots are filled by their owners:
     ``offspring`` maps (m_max, tol) to ``analytics.offspring_tables``,
     ``excursion`` maps m_max to the lists the conditioned sampler reads,
-    and ``tilt`` holds ``analytics.tilted_offspring``.
+    ``tilt`` holds ``analytics.tilted_offspring``, and ``memo`` maps
+    (name, tol) to the result of ``analytics.zeta_tilt`` or
+    ``analytics.malthusian``.  A typed error is raised again on every call,
+    never kept.
     """
 
-    __slots__ = ("params", "up", "mut", "death", "hold", "offspring", "excursion", "tilt")
+    __slots__ = ("params", "up", "mut", "death", "hold", "offspring", "excursion", "tilt", "memo")
 
     def __init__(self, params: ModelParams):
         self.params = params
         self.up, self.mut, self.death, self.hold = [0.0], [0.0], [0.0], [0.0]
-        self.offspring, self.excursion, self.tilt = {}, {}, None
+        self.offspring, self.excursion, self.tilt, self.memo = {}, {}, None, {}
 
     def grow(self, k: int) -> None:
         """Extend the rate rows through state k."""

@@ -26,8 +26,11 @@ from phylonetsim import (
     simulate_trajectory,
     zeta_tilt,
 )
+from phylonetsim import analytics
+from phylonetsim import params as params_mod
 from phylonetsim.analytics import critical_mu, gap_majorant, offspring_tables, tilted_offspring
 from phylonetsim.errors import DivergentTailError, NumericalFailure, PoleError
+from phylonetsim.cli import main
 from phylonetsim.rng import BufferedRng
 import phylonetsim.verify as V
 
@@ -395,6 +398,57 @@ class TestMalthusian:
     def test_mc_identity(self):
         c = V.check_malthusian_mc(P222, seed=10, n=30_000)
         assert c.passed, c.detail
+
+
+class TestMemo:
+    """zeta_tilt and malthusian are solved once per parameter set and tol."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        # fresh tables, and a count of the inner solver runs by name
+        monkeypatch.setattr(params_mod, "_tables", {})
+        counts = {"tilt": 0, "growth": 0}
+        for name, key in (("_solve_tilt", "tilt"), ("_solve_growth_rate", "growth")):
+            inner = getattr(analytics, name)
+
+            def counting(params, tol, inner=inner, key=key):
+                counts[key] += 1
+                return inner(params, tol)
+
+            monkeypatch.setattr(analytics, name, counting)
+        return counts
+
+    def test_analyze_solves_once(self, solves, tmp_path):
+        argv = ["analyze", "--samples", "2000", "--out", str(tmp_path / "a.json")]
+        assert main(argv) == 0
+        assert solves == {"tilt": 1, "growth": 1}
+        assert main(argv) == 0
+        assert solves == {"tilt": 1, "growth": 1}
+
+    def test_tol_kept_apart(self, solves):
+        a, b = zeta_tilt(P222, tol=1e-10), zeta_tilt(P222, tol=1e-12)
+        assert solves["tilt"] == 2
+        assert zeta_tilt(P222, tol=1e-10) is a and zeta_tilt(P222, tol=1e-12) is b
+        malthusian(P222, tol=1e-10)
+        malthusian(P222, tol=1e-9)
+        assert solves == {"tilt": 2, "growth": 2}
+
+    def test_typed_errors_are_raised_again(self, solves):
+        for _ in range(2):
+            with pytest.raises(PoleError):
+                zeta_tilt(ModelParams(0.1, 0.01, 0.1))
+            with pytest.raises(DivergentTailError):
+                malthusian(ModelParams(0.1, 0.01, 0.01))
+        assert solves == {"tilt": 2, "growth": 2}
+
+    def test_eviction_drops_the_memo(self, solves):
+        zeta_tilt(P111)
+        zeta_tilt(P111)
+        assert solves["tilt"] == 1
+        for i in range(params_mod.TABLES_CAP):
+            params_mod.tables(ModelParams(1.0, 1.0, 2.0 + i))
+        zeta_tilt(P111)
+        assert solves["tilt"] == 2
 
 
 class TestPgfFromState:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from phylonetsim import ModelParams, RngStream
-from phylonetsim.cli import SCHEMA_VERSION, main
+from phylonetsim.cli import SCHEMA_VERSION, build_parser, main
 from phylonetsim.model import sample_conditioned_path
 from phylonetsim.network import ColorNetwork, GluedNetwork, build_color_network, contour, sample_network
 from phylonetsim.rng import BufferedRng
@@ -127,6 +127,20 @@ class TestSimulate:
         _, raw1 = run_to_file(tmp_path, "s1.json", argv)
         _, raw2 = run_to_file(tmp_path, "s2.json", argv)
         assert raw1 == raw2
+
+    def test_parser_built_once_keeps_no_state(self, tmp_path):
+        # the cached parser must leave no default or namespace state behind:
+        # each output equals the one from a fresh parser
+        runs = [["simulate", "--n", "30", "--seed", "4", "--count", "3"], ["simulate", "--n", "30", "--seed", "4"]]
+        cached = [run_to_file(tmp_path, f"c{i}.json", argv) for i, argv in enumerate(runs)]
+        assert build_parser() is build_parser()
+        fresh = []
+        for i, argv in enumerate(runs):
+            build_parser.cache_clear()
+            fresh.append(run_to_file(tmp_path, f"f{i}.json", argv))
+        assert cached == fresh
+        assert len(json.loads(cached[0][1])["networks"]) == 3
+        assert len(json.loads(cached[1][1])["networks"]) == 1
 
     def test_trajectory_kind(self, tmp_path):
         _, raw = run_to_file(

@@ -16,6 +16,7 @@ from phylonetsim.limits import (
     sample_spinal_network,
     verify_crt_scaling,
 )
+from phylonetsim.model import TrajectoryStats, simulate_batch
 from phylonetsim.network import build_color_network, tilted_offspring_cached
 from phylonetsim.rng import BufferedRng
 import phylonetsim.limits as limits
@@ -109,6 +110,37 @@ class TestCrtConstants:
         assert abs(cc.zeta - 1.0) <= 1e-6
         assert cc.EUstar.overlaps(cc.EUstar_formula)
         assert reversal_mark_factor(p, cc.zeta, 5) == pytest.approx(1.0, abs=1e-5)
+
+    def test_three_batched_calls(self, monkeypatch):
+        calls = []
+
+        def counting(params, x0, n, rng):
+            calls.append(rng.path)
+            return simulate_batch(params, x0, n, rng)
+
+        monkeypatch.setattr(limits, "simulate_batch", counting)
+        crt_constants(P111, RngStream(515), n_samples=2_000)
+        assert calls == [(0,), (1,), (41,)]
+
+    @pytest.mark.parametrize("params", [ModelParams(0.05, 0.02, 0.5), ModelParams(0.1, 0.01, 1.0)])
+    def test_runs_from_every_nu_circ_state(self, params, monkeypatch):
+        # the stub records the start states instead of running them: real
+        # runs from these states take minutes
+        starts = []
+
+        def recording(p, x0, n, rng):
+            starts.append(np.broadcast_to(x0, (n,)))
+            return TrajectoryStats(np.zeros(n, dtype=np.int64), np.ones(n), np.ones(n), np.ones(n))
+
+        monkeypatch.setattr(limits, "simulate_batch", recording)
+        n_samples = 10_000
+        crt_constants(params, RngStream(516), n_samples=n_samples)
+        probs = nu_circ_pmf(params).probs
+        assert probs.size > 40
+        ks, counts = np.unique(starts[1], return_counts=True)
+        assert np.array_equal(ks, np.arange(1, probs.size + 1))
+        assert np.array_equal(counts, [max(400, int(n_samples * p)) for p in probs])
+        assert np.all(np.diff(starts[1]) >= 0)  # each state's runs are one slice
 
 
 class TestReversalFactor:

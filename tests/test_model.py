@@ -141,6 +141,39 @@ class TestSimulateBatch:
         monkeypatch.setattr(model, "DEFAULT_EVENT_CAP", 3)
         with pytest.raises(EventCapError):
             simulate_batch(P111, 5, 10, RngStream(602))
+        with pytest.raises(EventCapError):
+            simulate_batch(P111, np.array([1, 5, 2]), 3, RngStream(602))
+
+    def test_int_start_equals_full_array(self):
+        # 5000 runs span two blocks
+        a = simulate_batch(P222, 3, 5000, RngStream(606))
+        b = simulate_batch(P222, np.full(5000, 3), 5000, RngStream(606))
+        for name, x, y in zip(a._fields, a, b):
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+    def test_start_states_validated(self):
+        for bad in (np.array([1, 0, 2]), np.array([-1, 3, 3]), np.array([1.0, 2.0, 3.0]), np.ones((3, 1), int)):
+            with pytest.raises(ValueError):
+                simulate_batch(P111, bad, 3, RngStream(607))
+
+    def test_mixed_starts_match_scalar_batches(self):
+        starts, n = (1, 2, 5), 20_000
+        x0 = np.random.default_rng(608).permutation(np.repeat(starts, n))
+        mixed = simulate_batch(P111, x0, x0.size, RngStream(609))
+        for j, k in enumerate(starts):
+            alone = simulate_batch(P111, k, n, RngStream(610, j))
+            mine = x0 == k
+            c = V.chi2_two_sample(f"mixed_starts_M_x0={k}", alone.M, mixed.M[mine])
+            assert c.passed, c.detail
+            a, b = alone.T, mixed.T[mine]
+            c = V._three_se(
+                f"mixed_starts_T_x0={k}",
+                float(a.mean()),
+                float(a.std()) / math.sqrt(a.size),
+                float(b.mean()),
+                float(b.std()) / math.sqrt(b.size),
+            )
+            assert c.passed, c.detail
 
     @pytest.mark.parametrize("x0", [1, 3])
     def test_matches_scalar_simulator(self, x0):
