@@ -319,16 +319,16 @@ TABLE_LEVEL_CAP = 100_000
 
 
 def offspring_tables(params: ModelParams, m_max: int = 256, tol: float = 1e-14):
-    """Per-state excursion-count pmfs P_k(m) and compound parts R_k(m).
+    """Per-state excursion-count pmfs P_k(m).
 
     A k-excursion carries a Geometric(rho_k/(1+rho_k)) number of independent
     (k+1)-excursions plus a Bernoulli(mu/rho_k) mutation; states above the
     truncation level (chosen so the z=1 convergent gap is below tol)
-    contribute no mutations.  Returns (P, R, n_trunc, defect) with P[k] the
-    pmf of the mutation count of one k-excursion for k = 1..n_trunc+1 and
-    R[k] the pmf of its compound-geometric part.  Raises NumericalFailure,
-    before building any table, when the truncation level would exceed
-    TABLE_LEVEL_CAP.  Kept in the parameter set's ModelTables.
+    contribute no mutations.  Returns (P, n_trunc, defect) with P[k] the
+    pmf of the mutation count of one k-excursion for k = 1..n_trunc+1.
+    Raises NumericalFailure, before building any table, when the truncation
+    level would exceed TABLE_LEVEL_CAP.  Kept in the parameter set's
+    ModelTables.
     """
     cache = tables(params).offspring
     cached = cache.get((m_max, tol))
@@ -349,7 +349,6 @@ def offspring_tables(params: ModelParams, m_max: int = 256, tol: float = 1e-14):
         w /= params.rho(n_trunc)
     size = m_max + 1
     P = [None] * (n_trunc + 2)
-    R = [None] * (n_trunc + 1)
     pk = np.zeros(size)
     pk[0] = 1.0
     P[n_trunc + 1] = pk
@@ -367,14 +366,13 @@ def offspring_tables(params: ModelParams, m_max: int = 256, tol: float = 1e-14):
         pk = (1.0 - p_mut) * r
         pk[1:] += p_mut * r[:-1]
         P[k] = pk
-        R[k] = r
-    out = cache[(m_max, tol)] = (P, R, n_trunc, w)
+    out = cache[(m_max, tol)] = (P, n_trunc, w)
     return out
 
 
 def offspring_pmf(params: ModelParams, m_max: int, tol: float = 1e-12) -> OffspringPmf:
     """Distribution of M on {0..m_max}; see :func:`offspring_tables`."""
-    P, _, n_trunc, defect = offspring_tables(params, m_max, tol)
+    P, n_trunc, defect = offspring_tables(params, m_max, tol)
     pk = P[1]
     tail = max(0.0, 1.0 - float(pk.sum())) + defect
     return OffspringPmf(pk, tail, m_max, n_trunc)

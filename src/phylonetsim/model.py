@@ -7,11 +7,14 @@ with probabilities ``mu/rho_k``, ``alpha/rho_k``, ``(k-1)*beta/rho_k``.
 ``simulate_trajectory`` draws one marked path; ``simulate_batch`` draws
 only the summaries M, T, L and the sum of mutation times of many runs at
 once, from one start state or one per run, advancing all live runs one jump
-per NumPy step, for Monte Carlo that reads nothing else.  This module also
+per NumPy step, for Monte Carlo that reads nothing else.
+``conditioned_paths`` draws whole paths from the law given M = m, one m
+per path, by the Doob h-transform of the chain on (state, mutations still
+to come), with all live paths again advancing in lockstep;
+``condition_on_mutations`` is its rejection oracle.  This module also
 provides the trajectory viewed from a uniformly chosen mutation, built by
 back-to-back pasting of two independent runs started from a state drawn
-from the size-weighted law ``nu_circ``.
-"""
+from the size-weighted law ``nu_circ``."""
 
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EventCapError, NumericalFailure, RetryBudgetError
-from .params import ModelParams, ModelTables, tables
+from .params import ModelParams, tables
 from .rng import BufferedRng, RngStream
 
 BIRTH = "B"
@@ -172,28 +175,23 @@ def _simulate_embedded(params: ModelParams, x0: int, buf: BufferedRng, event_cap
     return kinds, states, n_mut
 
 
-def event_times(tab: ModelTables, x0: int, states: list, buf: BufferedRng, start_time: float = 0.0) -> list:
-    """Event times of a jump chain from x0, given its states after each jump.
+def _attach_times(
+    params: ModelParams, x0: int, kinds: list, states: list, buf: BufferedRng, start_time: float
+) -> MarkedTrajectory:
+    """The marked trajectory of an embedded path, with its holding times drawn.
 
     The holding times are drawn after the chain, in one block: they are
     independent of the marks.
     """
+    tab = tables(params)
     if states:
         tab.grow(max(x0, max(states)))
     hold = tab.hold
     times, t, k = [], start_time, x0
-    for e, s in zip(buf.exponentials(len(states)).tolist(), states):
+    for e, s in zip(buf.generator().standard_exponential(len(states)).tolist(), states):
         t += e * hold[k]
         times.append(t)
         k = s
-    return times
-
-
-def _attach_times(
-    params: ModelParams, x0: int, kinds: list, states: list, buf: BufferedRng, start_time: float
-) -> MarkedTrajectory:
-    """The marked trajectory of an embedded path, with its holding times drawn."""
-    times = event_times(tables(params), x0, states, buf, start_time)
     return MarkedTrajectory(x0, list(zip(times, kinds, states)), start_time)
 
 
@@ -298,8 +296,8 @@ def condition_on_mutations(
 
     Only the jump chain is simulated during rejection; holding times are
     attached to the accepted path (they are independent of the marks).
-    Kept as the test oracle of :func:`sample_conditioned_path`, which is
-    the sampler on the network path.
+    Kept as the test oracle of :func:`conditioned_paths`, which is the
+    sampler on the network path.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -313,137 +311,154 @@ def condition_on_mutations(
     )
 
 
-def _excursion_tables(tab: ModelTables, m_max: int) -> tuple:
-    """The offspring tables of analytics as Python float lists, with per level
-    k <= n_trunc the closing-mutation probability mu/rho_k and the stay weight
-    theta_k = rho_k/(1 + rho_k): (P, R, n_trunc, p_mut, theta)."""
-    ex = tab.excursion.get(m_max)
-    if ex is None:
+class HTransform(NamedTuple):
+    """The Doob h-transform of the jump chain conditioned on M, and its step tables.
+
+    ``h[k, r]`` = P_k(M = r), k = 0..n_trunc+1, r = 0..m_max: row k is row
+    k-1 convolved with the mutation count of one k-excursion
+    (``analytics.offspring_tables``); above n_trunc excursions carry no
+    mutation, so row n_trunc+1 is row n_trunc.  The step tables, indexed by
+    k*(m_max+1) + r, hold the cumulative probabilities of an up-step, a
+    mutation and a death from state k with r mutations to come (``cum``;
+    the rest is a coalescence; NaN where every weight underflowed) and the
+    mean holding time of state k (``hold``).
+    """
+
+    h: np.ndarray
+    n_trunc: int
+    cum: np.ndarray
+    hold: np.ndarray
+
+
+def h_transform(params: ModelParams, m_max: int = 256, top: int = 0) -> HTransform:
+    """The h-transform of a parameter set, with step tables through state
+    ``top`` at least; kept in its ModelTables by m_max.
+
+    From (k, r) the chain goes up, takes a mutation, dies or coalesces with
+    weights h(k+1, r), mu h(k-1, r-1), alpha h(k-1, r), (k-1) beta h(k-1, r).
+    They sum to (1 + rho_k) h(k, r), the first-step equation of h; each row
+    is divided by its own sum, which absorbs the rounding.  Above n_trunc a
+    down-step is a death or a coalescence with odds alpha : (k-1) beta, as
+    in the truncated model of the tables.
+    """
+    tab, w = tables(params), m_max + 1
+    ht = tab.h.get(m_max)
+    if ht is not None and ht.hold.size > top * w:
+        return ht
+    if ht is None:
         from .analytics import offspring_tables
 
-        P, R, n_trunc, _ = offspring_tables(tab.params, m_max)
-        rho = [tab.params.rho(k) for k in range(1, n_trunc + 1)]
-        ex = tab.excursion[m_max] = (
-            [None if x is None else x.tolist() for x in P],
-            [None if x is None else x.tolist() for x in R],
-            n_trunc,
-            [None] + [tab.params.mu / r for r in rho],
-            [None] + [r / (1.0 + r) for r in rho],
+        P, n_trunc, _ = offspring_tables(params, m_max)
+        h = np.zeros((n_trunc + 2, w))
+        h[0, 0] = 1.0
+        for k in range(1, n_trunc + 1):
+            h[k] = np.convolve(P[k], h[k - 1])[:w]
+        h[n_trunc + 1] = h[n_trunc]
+        below = h[:-2]
+        weights = np.stack(
+            [
+                h[2:],
+                params.mu * np.pad(below, ((0, 0), (1, 0)))[:, :w],
+                params.alpha * below,
+                np.arange(n_trunc)[:, None] * params.beta * below,
+            ]
         )
-        tab.grow(n_trunc + 1)
-    return ex
+        with np.errstate(invalid="ignore"):
+            cum = np.cumsum(weights[:3], axis=0) / weights.sum(axis=0)
+        low = np.concatenate([np.full((3, 1, w), np.nan), cum], axis=1).reshape(3, -1)  # state 0 is never left
+    else:
+        h, n_trunc, low = ht.h, ht.n_trunc, ht.cum[:, : (ht.n_trunc + 1) * w]
+    size = max(2 * top, n_trunc + 16)
+    p_up, _, hold = _batch_rates(params, size)
+    up = p_up[n_trunc + 1 :]
+    k = np.arange(n_trunc + 1, size)
+    death = up + (1.0 - up) * params.alpha / (params.alpha + (k - 1) * params.beta)
+    above = np.repeat(np.stack([up, up, death]), w, axis=1)
+    ht = tab.h[m_max] = HTransform(h, n_trunc, np.concatenate([low, above], axis=1), np.repeat(hold, w))
+    return ht
 
 
-def conditioned_chain(
-    tab: ModelTables, m: int, buf: BufferedRng, m_max: int = 256, event_cap: int = DEFAULT_EVENT_CAP
-) -> tuple:
-    """Jump chain of an exact draw from the trajectory law given M = m, from state 1.
+class PathBatch(NamedTuple):
+    """Jump chains of a batch, path after path, each from state 1 at time 0.
 
-    Returns (kinds, states after each jump); see :func:`sample_conditioned_path`.
+    Path i is the events ``offsets[i]:offsets[i+1]``: ``kinds`` holds one
+    letter of "BMDC" per event, ``states`` the state after it and ``times``
+    its time.
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    P, R, n_trunc, p_mut, theta_k = _excursion_tables(tab, m_max)
-    if m >= len(P[1]) or P[1][m] <= 0.0:
+
+    kinds: str
+    states: np.ndarray
+    times: np.ndarray
+    offsets: np.ndarray
+
+
+_KIND_LETTERS = np.frombuffer((BIRTH + MUTATION + DEATH + COALESCENCE).encode(), dtype=np.uint8)
+
+
+def conditioned_paths(
+    params: ModelParams, ms, gen: np.random.Generator, m_max: int = 256, event_cap: int = DEFAULT_EVENT_CAP
+) -> PathBatch:
+    """Exact draws from the trajectory law given M = m, one path per entry of ms.
+
+    Each path runs the chain of :func:`h_transform` on (state k, mutations
+    to come r) from (1, m), kept as the table index k*(m_max+1) + r; all
+    live paths advance one event per NumPy step, on one uniform each.  The
+    holding times, independent of the marks, are drawn after the chains as
+    one exponential per event times the mean holding time of its state.
+    The batch is checked before anything is drawn: an m below 0 raises
+    ValueError, an m above m_max or whose P(M = m) is below the smallest
+    normal float raises NumericalFailure.  A path alive after ``event_cap``
+    events raises :class:`EventCapError`, one that passed a row of
+    underflowed weights NumericalFailure.
+    """
+    ms = np.asarray(ms, dtype=np.int64).reshape(-1)
+    if ms.size and ms.min() < 0:
+        raise ValueError(f"m must be >= 0, got {ms.min()}")
+    ht = h_transform(params, m_max)
+    bad = ms[(ms > m_max) | (ht.h[1, np.minimum(ms, m_max)] < np.finfo(float).tiny)]
+    if bad.size:
         raise NumericalFailure(
-            f"P(M = {m}) is zero in the offspring tables (m_max={m_max}); "
-            "the outdegree lies beyond the sampler's support"
+            f"P(M = {bad[0]}) is zero or underflowed in the offspring tables (m_max={m_max}): beyond the support"
         )
-    alpha, beta = tab.params.alpha, tab.params.beta
-    up = tab.up
-    uniform = buf.uniform
-    kinds: list = []
-    states: list = []
-
-    def emit(kind: str, state: int) -> None:
-        if len(kinds) >= event_cap:
-            raise EventCapError(event_cap, state)
-        kinds.append(kind)
-        states.append(state)
-
-    def plain_excursion(j: int) -> None:
-        """Unconditioned mutation-free excursion from j down to j-1 (j > n_trunc)."""
-        depth = 0
-        while True:
-            k = j + depth
-            if k >= len(up):
-                tab.grow(2 * k)
-            if uniform() < up[k]:
-                depth += 1
-                emit(BIRTH, k + 1)
-            else:
-                kd = alpha + (k - 1) * beta
-                kind = DEATH if uniform() * kd < alpha else COALESCENCE
-                emit(kind, k - 1)
-                if depth == 0:
-                    return
-                depth -= 1
-
-    def enter(k: int, s: int) -> tuple | None:
-        """Open a k-excursion carrying exactly s mutations.
-
-        Above the truncation level the excursion is mutation-free and is
-        walked whole here; otherwise its closing mutation is drawn and the
-        state (k, remaining budget, closing mutation, theta) returned.
-        """
-        if k > n_trunc:
-            plain_excursion(k)
-            return None
-        if s >= 1:
-            b = 1 if uniform() * P[k][s] < p_mut[k] * R[k][s - 1] else 0
-        else:
-            b = 0
-        return k, s - b, b, theta_k[k]
-
-    # A k-excursion draws its (k+1)-sub-excursions one at a time, each
-    # walked to its end before the next is drawn.  The open excursions
-    # above the current one wait on an explicit stack, so the draws come in
-    # the order of the recursive decomposition without Python recursion.
-    suspended = []
-    k, rem, b, theta = enter(1, m)
-    Rk, Pup = R[k], P[k + 1]
-    while True:
-        target = uniform() * Rk[rem]
-        if rem == 0 and target < theta:
-            if b:
-                emit(MUTATION, k - 1)
-            else:
-                kd = alpha + (k - 1) * beta
-                if kd <= 0.0:
-                    raise RuntimeError("zero-rate down-step requested")
-                kind = DEATH if uniform() * kd < alpha else COALESCENCE
-                emit(kind, k - 1)
-            if not suspended:
-                break
-            k, rem, b, theta = suspended.pop()
-            Rk, Pup = R[k], P[k + 1]
-            continue
-        acc = theta if rem == 0 else 0.0
-        chosen = None
-        last_pos = None
-        for c in range(rem + 1):
-            wgt = (1.0 - theta) * Pup[c] * Rk[rem - c]
-            if wgt > 0.0:
-                last_pos = c
-            acc += wgt
-            if acc > target:
-                chosen = c
-                break
-        if chosen is None:
-            chosen = last_pos
-        if chosen is None:
-            raise RuntimeError(f"no feasible sub-excursion split at state {k}, budget {rem}")
-        emit(BIRTH, k + 1)
-        rem -= chosen
-        sub = enter(k + 1, chosen)
-        if sub is not None:
-            suspended.append((k, rem, b, theta))
-            k, rem, b, theta = sub
-            Rk, Pup = R[k], P[k + 1]
-    n_mut = kinds.count(MUTATION)
-    if n_mut != m:
-        raise RuntimeError(f"decomposition produced {n_mut} mutations, wanted {m}")
-    return kinds, states
+    n, w = ms.size, m_max + 1
+    step = np.array([w, -w - 1, -w, -w])  # index change of a birth, mutation, death, coalescence
+    cap = 4 * n + 64
+    rec_col, rec_at, rec_kind = (np.empty(cap, dtype=np.int64) for _ in range(3))
+    col, at = np.arange(n), w + ms
+    bounds = [0]
+    while col.size:
+        if len(bounds) > event_cap:
+            raise EventCapError(event_cap, int(at[0]) // w)
+        if at.max() >= ht.hold.size:
+            ht = h_transform(params, m_max, int(at.max()) // w)
+        # 0 birth, 1 mutation, 2 death, 3 coalescence
+        kind = (gen.random(col.size) >= ht.cum[:, at]).sum(axis=0)
+        pos, end = bounds[-1], bounds[-1] + col.size
+        if end > cap:
+            cap = 2 * end
+            rec_col, rec_at, rec_kind = (np.resize(a, cap) for a in (rec_col, rec_at, rec_kind))
+        rec_col[pos:end], rec_at[pos:end], rec_kind[pos:end] = col, at, kind
+        bounds.append(end)
+        at += step[kind]
+        live = at >= w
+        if not live.all():
+            col, at = col[live], at[live]
+    pos = bounds[-1]
+    if np.isnan(ht.cum[0, rec_at[:pos]]).any():
+        raise NumericalFailure("a conditioned path passed a state whose h-transform weights underflowed")
+    # holding times, one exponential per event, summed along each path step by step
+    held = gen.standard_exponential(pos) * ht.hold[rec_at[:pos]]
+    clock, rec_time = np.zeros(n), np.empty(pos)
+    for a, b in zip(bounds, bounds[1:]):
+        c = rec_col[a:b]
+        clock[c] += held[a:b]
+        rec_time[a:b] = clock[c]
+    order = np.argsort(rec_col[:pos], kind="stable")
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rec_col[:pos], minlength=n), out=offsets[1:])
+    kind = rec_kind[order]
+    states = (rec_at[order] + step[kind]) // w
+    return PathBatch(_KIND_LETTERS[kind].tobytes().decode("ascii"), states, rec_time[order], offsets)
 
 
 def sample_conditioned_path(
@@ -451,19 +466,13 @@ def sample_conditioned_path(
 ) -> MarkedTrajectory:
     """Exact draw from the trajectory law given M = m, without rejection.
 
-    Walks the excursion decomposition: a k-excursion carries a geometric
-    number of (k+1)-excursions plus a Bernoulli mutation on its closing
-    step, so the mutation budget can be split recursively using the
-    precomputed per-state count pmfs.  The recursion runs on an explicit
-    stack, so paths of any height need no Python recursion.  Exact for the
-    state-truncated model (truncation defect below 1e-14); excursions above
-    the truncation level are mutation-free by construction.  Raises
-    NumericalFailure when P(M = m) is zero in the tables (m > m_max, or an
-    underflowed tail).
+    The batch of one of :func:`conditioned_paths`, drawn from the numpy
+    generator of the stream's buffer.  Exact for the state-truncated model
+    of the offspring tables (truncation defect below 1e-14).
     """
     buf = _as_buffered(rng)
-    kinds, states = conditioned_chain(tables(params), m, buf, m_max, event_cap)
-    return _attach_times(params, 1, kinds, states, buf, 0.0)
+    p = conditioned_paths(params, [m], buf.generator(), m_max, event_cap)
+    return MarkedTrajectory(1, list(zip(p.times.tolist(), p.kinds, p.states.tolist())), 0.0)
 
 
 def paste_back_to_back(f: MarkedTrajectory, g: MarkedTrajectory, zero_kind: str | None = None):

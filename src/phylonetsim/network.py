@@ -7,16 +7,17 @@ lineage continues, the other ends into it).  The genealogy of colors is a
 Galton-Watson tree with offspring M; conditioned on n colors it equals the
 critically tilted tree conditioned on n vertices, sampled here by the
 cycle-lemma rotation.  Each color is decorated with a network drawn from
-the trajectory law given M = its outdegree, by the exact excursion
-decomposition sampler.  Gluing identifies each child color's root with the
-corresponding mutation point and yields a metric measure space supporting
-distance, sampling and contour queries.
+the trajectory law given M = its outdegree, by the exact h-transform
+sampler of `model.conditioned_paths`.  Gluing identifies each child
+color's root with the corresponding mutation point and yields a metric
+measure space supporting distance, sampling and contour queries.
 
 A decoration is stored as per-lineage columns, the in-memory twin of its
-schema-2 JSON form (see `ColorNetwork`).  `decorate` fills them in one
-pass: it draws the conditioned jump chain, attaches the holding times and
-assigns the lineages, with no per-event or per-lineage objects.  The
-marked trajectory and `Lineage` records are derived from the columns on
+schema-2 JSON form (see `ColorNetwork`).  `decorate_batch` fills them
+for all colors of a network: one `model.conditioned_paths` call draws
+every color's jump chain and event times in lockstep, then `_realize`
+assigns each color's lineages, with no per-event or per-lineage objects.
+The marked trajectory and `Lineage` records are derived from the columns on
 each request and not kept; every reader in this package uses the columns.
 
 Every glue point is a cut vertex, and every edge is as long as the time it
@@ -46,8 +47,7 @@ from .model import (
     DEATH,
     MUTATION,
     MarkedTrajectory,
-    conditioned_chain,
-    event_times,
+    conditioned_paths,
     simulate_trajectory,
 )
 from .params import ModelParams, tables
@@ -228,18 +228,24 @@ def build_color_network(params: ModelParams, traj: MarkedTrajectory, rng) -> Col
     return _realize([e[1] for e in traj.events], [e[0] for e in traj.events], traj.start_time, buf)
 
 
-def decorate(params: ModelParams, m: int, rng) -> ColorNetwork:
-    """Color network conditioned on producing exactly m mutations.
+def decorate_batch(params: ModelParams, ms, rng) -> list:
+    """Color networks conditioned on producing exactly ms[i] mutations, one per entry.
 
-    The jump chain is an exact draw from the law given M = m by the
-    excursion decomposition sampler; an m outside the support of its
-    offspring tables raises NumericalFailure.  The draws are those of
-    ``build_color_network(params, sample_conditioned_path(params, m, buf), buf)``.
+    One `model.conditioned_paths` call on the buffer's generator draws every
+    jump chain, then `_realize` assigns each one's lineages from the buffer.
+    An m outside the tables' support raises NumericalFailure before any draw.
     """
     buf = rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
-    tab = tables(params)
-    kinds, states = conditioned_chain(tab, m, buf)
-    return _realize(kinds, event_times(tab, 1, states, buf), 0.0, buf)
+    paths = conditioned_paths(params, ms, buf.generator())
+    times, o = paths.times.tolist(), paths.offsets.tolist()
+    return [_realize(paths.kinds[a:b], times[a:b], 0.0, buf) for a, b in zip(o, o[1:])]
+
+
+def decorate(params: ModelParams, m: int, rng) -> ColorNetwork:
+    """Color network conditioned on producing exactly m mutations, the batch of one of
+    `decorate_batch`: ``build_color_network(params, sample_conditioned_path(params, m, buf), buf)``.
+    """
+    return decorate_batch(params, [m], rng)[0]
 
 
 @dataclass
@@ -670,9 +676,7 @@ def sample_network(
     if method == "tilted":
         tilt, probs = tilted_offspring_cached(params)
         tree = sample_genealogy_tree(probs, n, rng.substream(0))
-        buf = BufferedRng(rng.substream(1))
-        decorations = [decorate(params, tree.outdegree(v), buf) for v in range(n)]
-        return GluedNetwork(tree, decorations)
+        return GluedNetwork(tree, decorate_batch(params, [tree.outdegree(v) for v in range(n)], rng.substream(1)))
     if method == "direct":
         buf = BufferedRng(rng)
         for attempt in range(1, max_retries + 1):

@@ -45,19 +45,20 @@ class ModelTables:
     1/(k (1 + rho_k)) is the mean holding time.  Row 0 (the absorbing
     state) is never read.  The other slots are filled by their owners:
     ``offspring`` maps (m_max, tol) to ``analytics.offspring_tables``,
-    ``excursion`` maps m_max to the lists the conditioned sampler reads,
+    ``h`` maps m_max to the ``model.h_transform`` the conditioned sampler
+    steps by,
     ``tilt`` holds ``analytics.tilted_offspring``, and ``memo`` maps
     (name, tol) to the result of ``analytics.zeta_tilt`` or
     ``analytics.malthusian``.  A typed error is raised again on every call,
     never kept.
     """
 
-    __slots__ = ("params", "up", "mut", "death", "hold", "offspring", "excursion", "tilt", "memo")
+    __slots__ = ("params", "up", "mut", "death", "hold", "offspring", "h", "tilt", "memo")
 
     def __init__(self, params: ModelParams):
         self.params = params
         self.up, self.mut, self.death, self.hold = [0.0], [0.0], [0.0], [0.0]
-        self.offspring, self.excursion, self.tilt, self.memo = {}, {}, None, {}
+        self.offspring, self.h, self.tilt, self.memo = {}, {}, None, {}
 
     def grow(self, k: int) -> None:
         """Extend the rate rows through state k."""

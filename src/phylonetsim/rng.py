@@ -61,11 +61,10 @@ class BufferedRng:
         self._ie += 1
         return v
 
-    def exponentials(self, n: int) -> np.ndarray:
-        return self._gen.standard_exponential(n)
-
-    def integers(self, low: int, high: int) -> int:
-        return int(self._gen.integers(low, high))
+    def generator(self) -> np.random.Generator:
+        """The generator behind the buffers, for draws of whole arrays.  It also
+        refills the buffers, so twin buffers making the same calls draw alike."""
+        return self._gen
 
     def choice_index(self, cdf: np.ndarray) -> int:
         """Index drawn from the discrete law with cumulative weights cdf."""

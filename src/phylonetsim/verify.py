@@ -6,7 +6,8 @@ for the acceptance tests.  Monte Carlo comparisons use 3-standard-error
 bands; distributional comparisons use chi-square / Kolmogorov-Smirnov at
 significance 0.01 (Bonferroni over categories for weighted laws).
 Reference samples that need only M, T, L or the mutation-time sum of raw
-runs come from the batched ``model.simulate_batch``; checks that read the
+runs come from the batched ``model.simulate_batch``, and M-biased paths
+from the batched ``model.conditioned_paths``; other checks that read the
 events of a path draw it with ``model.simulate_trajectory``.
 """
 
@@ -152,45 +153,29 @@ def weighted_two_sample(name, va, wa, vb, wb, alpha=0.01, n_cats=None, min_eff=1
 # -- model suite -------------------------------------------------------------
 
 
-def sample_m_biased_view(params: ModelParams, rng, n_samples: int, m_env: int = 50):
+def sample_m_biased_view(params: ModelParams, rng: RngStream, n_samples: int, m_max: int = 256):
     """Independent draws from the trajectory viewed from a uniform mutation.
 
-    Rejection with envelope M/m_env makes the draws exactly M-biased and
-    independent while every trajectory has M <= m_env; a trajectory with
-    more mutations raises NumericalFailure.  Returns arrays (K, U, M,
-    duration).
+    M is drawn from m P(M = m) / E[M] on 1..m_max (``analytics.offspring_tables``),
+    the paths given M in one ``model.conditioned_paths`` call, then a uniform
+    mutation of each path.  Returns arrays (K, U, M, duration): the state
+    just before that mutation, its time, M and the lifetime.  Raises
+    NumericalFailure when E[M] less the tables' sum of m P(M = m) is above 1e-9 E[M].
     """
-    buf = rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
-    K = np.empty(n_samples, dtype=int)
-    U = np.empty(n_samples)
-    M = np.empty(n_samples, dtype=int)
-    D = np.empty(n_samples)
-    i = 0
-    while i < n_samples:
-        tr = model.simulate_trajectory(params, 1, buf)
-        m = tr.M
-        if m > m_env:
-            raise NumericalFailure(
-                f"a trajectory has M = {m} mutations, above the envelope m_env = {m_env}: "
-                "the acceptance probability M/m_env would pass 1"
-            )
-        if m == 0 or buf.uniform() >= m / m_env:
-            continue
-        times = tr.mutation_times()
-        j = int(buf.uniform() * len(times))
-        u = times[j]
-        # state just before the chosen mutation
-        s = 1
-        for t, kind, s_after in tr.events:
-            if t >= u:
-                break
-            s = s_after
-        K[i] = s
-        U[i] = u
-        M[i] = m
-        D[i] = tr.T
-        i += 1
-    return K, U, M, D
+    P = analytics.offspring_tables(params, m_max)[0][1]
+    biased = np.arange(P.size) * P
+    EM = analytics.expected_M(params).upper
+    missing = EM - math.fsum(biased)
+    if missing > 1e-9 * EM:
+        raise NumericalFailure(f"the size-biased law of M has {missing / EM:.3g} of its mass beyond m_max = {m_max}")
+    gen = rng.generator()
+    cdf = np.cumsum(biased)
+    M = np.searchsorted(cdf, gen.random(n_samples) * cdf[-1], side="right")
+    paths = model.conditioned_paths(params, M, gen, m_max)
+    at_mutation = np.flatnonzero(np.frombuffer(paths.kinds.encode(), dtype=np.uint8) == ord(model.MUTATION))
+    # the mutations of path i are entries sum(M[:i]) ... of at_mutation
+    pick = at_mutation[np.cumsum(M) - M + (gen.random(n_samples) * M).astype(np.int64)]
+    return paths.states[pick] + 1, paths.times[pick], M, paths.times[paths.offsets[1:] - 1]
 
 
 def check_trajectory_wellformed(param_sets, seed=1, n_paths=10_000) -> Check:
@@ -657,11 +642,10 @@ def check_decoration_consistency(params: ModelParams, seed=13, n_samples=300) ->
 
 
 def check_decorate_stratum_mean(params: ModelParams, seed=14, n=30_000, m=1) -> Check:
-    """Conditioned decoration L against the M=m stratum of batched raw runs."""
-    buf = BufferedRng(RngStream(seed, 0))
-    ls = np.empty(n)
-    for i in range(n):
-        ls[i] = network.decorate(params, m, buf).total_length
+    """Conditioned decoration L, drawn in one batch, against the M=m stratum of
+    batched raw runs."""
+    decorations = network.decorate_batch(params, np.full(n, m), RngStream(seed, 0))
+    ls = np.array([d.total_length for d in decorations])
     # the first n runs with M = m among batches of 4n raw runs, one substream each
     ref, j = np.empty(0), 0
     while ref.size < n:

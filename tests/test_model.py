@@ -245,14 +245,17 @@ class TestConditioning:
         assert abs(hits / n - g0) <= 3.0 * math.sqrt(g0 * (1 - g0) / n)
 
     def test_decomposition_sampler_matches_rejection(self):
+        # one lockstep batch per m against the rejection oracle
         for m in (0, 1, 3, 5):
-            buf1 = BufferedRng(RngStream(112, m))
             buf2 = BufferedRng(RngStream(113, m))
             n = 6000
+            paths = model.conditioned_paths(P111, np.full(n, m), RngStream(112, m).generator())
+            times, states, o = paths.times.tolist(), paths.states.tolist(), paths.offsets.tolist()
             a = np.empty(n)
             b = np.empty(n)
             for i in range(n):
-                t1 = sample_conditioned_path(P111, m, buf1)
+                j = slice(o[i], o[i + 1])
+                t1 = MarkedTrajectory(1, list(zip(times[j], paths.kinds[j], states[j])))
                 t1.validate()
                 assert t1.M == m
                 t2 = condition_on_mutations(P111, m, buf2)
@@ -273,6 +276,37 @@ class TestConditioning:
         tr = sample_conditioned_path(params, m, RngStream(77, m, (0,)))
         tr.validate()
         assert tr.M == m
+
+
+class TestHTransform:
+    @pytest.mark.parametrize("params", [P111, ModelParams(2.0, 0.5, 0.1), ModelParams(0.3, 0.3, 1.0)])
+    def test_first_step_identity(self, params):
+        # h(k, r)(1 + rho_k) = h(k+1, r) + mu h(k-1, r-1) + (alpha + (k-1) beta) h(k-1, r)
+        ht = model.h_transform(params)
+        h = ht.h
+        for k in range(1, ht.n_trunc + 1):
+            for r in range(40):
+                lhs = h[k, r] * (1.0 + params.rho(k))
+                rhs = h[k + 1, r] + params.mu * (h[k - 1, r - 1] if r else 0.0)
+                rhs += (params.alpha + (k - 1) * params.beta) * h[k - 1, r]
+                assert abs(lhs - rhs) <= 1e-12 * lhs, (k, r, lhs, rhs)
+
+    @pytest.mark.parametrize(
+        # past m_max = 256, and a P(M = m) that underflowed to 1.2e-309
+        "params, m", [(P111, 300), (ModelParams(2.0, 0.5, 0.1), 241)]
+    )
+    def test_unsupported_outdegree_draws_nothing(self, params, m):
+        gen, twin = RngStream(130).generator(), RngStream(130).generator()
+        with pytest.raises(NumericalFailure, match=f"P\\(M = {m}\\)"):
+            model.conditioned_paths(params, [1, 0, m, 2], gen)
+        assert gen.random() == twin.random()
+        with pytest.raises(ValueError):
+            model.conditioned_paths(P111, [1, -1], gen)
+
+    def test_event_cap_is_loud_in_a_batch(self):
+        # m = 5 needs at least 9 events
+        with pytest.raises(EventCapError):
+            model.conditioned_paths(P111, [0, 1, 5, 0], RngStream(131).generator(), event_cap=8)
 
 
 class TestPasting:
@@ -349,9 +383,10 @@ class TestNuCircAndXMut:
             assert zero_events[0][2] == k - 1
             assert tr.start_time < 0
 
-    def test_m_biased_view_envelope_is_typed(self):
-        with pytest.raises(NumericalFailure, match="m_env = 1"):
-            V.sample_m_biased_view(P111, RngStream(124), 1000, m_env=1)
+    def test_m_biased_view_tail_is_typed(self):
+        # at m_max = 5 the size-biased law of M has 0.4% of its mass left out
+        with pytest.raises(NumericalFailure, match="beyond m_max = 5"):
+            V.sample_m_biased_view(P111, RngStream(124), 1000, m_max=5)
 
     def test_x_mut_equivalence_suite(self):
         for c in V.check_x_mut_equivalence(P111, seed=7, n=8000):
