@@ -4,8 +4,11 @@ Subcommands: analyze, gfun-table, simulate, contour, local-ball, verify.
 Flags override a plain key=value config file; identical configurations
 (including the worker count) produce byte-identical output.  JSON output is
 compact, key-sorted and on a single line (``python -m json.tool`` indents
-it), at schema version 2: networks and local-ball vertices carry each
+it), at schema version 3: networks and local-ball vertices carry each
 decoration as per-lineage columns (see `network.ColorNetwork.to_json_dict`).
+Schema 3 drops two keys of schema 2: the local ball's ``weight`` (its draws
+are exact and unweighted) and ``config.method`` (there is one network
+sampler).
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 numeric failure.
 """
 
@@ -34,7 +37,7 @@ from .model import simulate_trajectory
 from .params import ModelParams
 from .rng import RngStream
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 NUMERIC_ERRORS = (
     PoleError,
@@ -58,7 +61,6 @@ class RunConfig:
     format: str = "json"
     out: str | None = None
     workers: int = 1
-    method: str = "tilted"
 
     @property
     def params(self) -> ModelParams:
@@ -78,7 +80,6 @@ class RunConfig:
                 "seed": self.seed,
                 "samples": self.samples,
                 "tol": self.tol,
-                "method": self.method,
             },
         }
 
@@ -103,7 +104,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     casts = {
         "alpha": float, "beta": float, "mu": float, "tol": float,
         "n": int, "seed": int, "samples": int, "workers": int,
-        "format": str, "out": str, "method": str,
+        "format": str, "out": str,
     }
     for key, cast in casts.items():
         if key in file_vals:
@@ -241,10 +242,7 @@ def cmd_simulate(cfg: RunConfig, count: int, kind: str) -> int:
         out["trajectories"] = items
         _emit_json(out, cfg.out)
         return 0
-    nets = [
-        network.sample_network(p, cfg.n, RngStream(cfg.seed, i), method=cfg.method)
-        for i in range(count)
-    ]
+    nets = [network.sample_network(p, cfg.n, RngStream(cfg.seed, i)) for i in range(count)]
     if cfg.format == "csv":
         chunks = [G.to_edge_csv() for G in nets]
         _emit("\n".join(chunks), cfg.out)
@@ -259,7 +257,7 @@ def cmd_simulate(cfg: RunConfig, count: int, kind: str) -> int:
 
 def cmd_contour(cfg: RunConfig, grid: int) -> int:
     p = cfg.params
-    G = network.sample_network(p, cfg.n, RngStream(cfg.seed, 0), method=cfg.method)
+    G = network.sample_network(p, cfg.n, RngStream(cfg.seed, 0))
     ts, hs, cols = network.contour(G, RngStream(cfg.seed, 1), grid)
     if cfg.format == "csv":
         rows = [[float(t), float(h)] for t, h in zip(ts, hs)]
@@ -283,7 +281,6 @@ def cmd_local_ball(cfg: RunConfig, radius: int) -> int:
     out = cfg.header()
     out["local_ball"] = {
         "r": ball.r,
-        "weight": ball.weight,
         "zeta": tilt.zeta,
         "focal_id": ball.focal_id,
         "spine_ids": list(ball.spine_ids),
@@ -362,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=["json", "csv", "newick"])
         sp.add_argument("--out")
         sp.add_argument("--workers", type=int)
-        sp.add_argument("--method", choices=["tilted", "direct"])
 
     sp = sub.add_parser("analyze", help="closed-form and Monte Carlo summary")
     common(sp)

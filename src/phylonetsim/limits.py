@@ -6,16 +6,22 @@ M zeta^M-biased trajectory, and |G_n| ~ n E[L zeta^M]/E[zeta^M].  E[U*]
 and ell are estimated by self-normalized weighted Monte Carlo and by
 closed-form decompositions over nu_circ; the Monte Carlo reads only M, T, L
 and the mutation-time sum of each run, so it runs on the batched simulator
-``model.simulate_batch``.  The local weak limit around a
-length-uniform point is a spine of size-biased-offspring vertices with a
-length-biased focal decoration, sampled here from the back-to-back pasting
-construction.
+``model.simulate_batch``.
 
-Closed-form decompositions over nu_circ carry the factor
-prod_{j<=k} 1/c_j(zeta), c_j = 1 + (zeta-1) mu/rho_j: marks on the
-time-reversed half of the pasted path sit on its down-jumps, of which
-there is exactly one fewer per level j <= K than in a forward run
-(cross-checked against direct simulation in the test suite).
+The local weak limit around a length-uniform point is a spine of
+size-biased-offspring vertices with a length-biased focal decoration.  The
+focal and spinal decorations are back-to-back pastings of two runs, biased
+by zeta^M.  Since the weight zeta^M reads only the jump chain, each half of
+the biased pasting is again a Markov chain, the Doob h-transform with
+h_k = E_k[zeta^M] (``model.tilted_paths``), and the samplers here draw it
+exactly and unweighted at every zeta, in batches.
+
+Marks on the time-reversed half of a pasted path sit on its down-jumps, of
+which there is exactly one fewer per level j <= K than in a forward run.
+So the pasted law carries the factor prod_{j<=K} 1/c_j(zeta),
+c_j = 1 + (zeta-1) mu/rho_j, in the law of K and in the closed-form
+decompositions over nu_circ, and a reversed down-jump from state s is a
+mutation, a death or a coalescence in the ratio mu zeta : alpha : (s-1) beta.
 """
 
 from __future__ import annotations
@@ -26,16 +32,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytics
-from .errors import RetryBudgetError
 from .model import (
+    BIRTH,
+    COALESCENCE,
+    DEATH,
     MUTATION,
     MarkedTrajectory,
-    paste_back_to_back,
-    resample_negative_kinds,
     simulate_batch,
-    simulate_trajectory,
+    tilted_h_transform,
+    tilted_paths,
 )
-from .network import ColorNetwork, GluedNetwork, build_color_network, contour, decorate
+from .network import ColorNetwork, build_color_network, contour, decorate_batch
 from .params import ModelParams
 from .rng import BufferedRng, RngStream
 
@@ -203,7 +210,7 @@ def _crt_replicate(args):
     rng = RngStream(seed, stream_id, tuple(path))
     from .network import sample_network
 
-    G = sample_network(params, n, rng.substream(0), method="tilted")
+    G = sample_network(params, n, rng.substream(0))
     ts, hs, cols = contour(G, rng.substream(1), grid_size)
     depths = np.asarray(G.tree.depths(), dtype=float)
     ht = eu * depths[cols]
@@ -278,81 +285,92 @@ def verify_crt_scaling(
 # -- local weak limit -------------------------------------------------------
 
 
-def _pasted_color_network(
-    params: ModelParams, k_left: int, k_right: int, buf: BufferedRng, force_mutation: bool
-):
-    """Color network realized from pasting runs started at k_left and k_right."""
-    x_left = simulate_trajectory(params, k_left, buf)
-    if k_right >= 1:
-        x_right = simulate_trajectory(params, k_right, buf)
-    else:
-        x_right = MarkedTrajectory(0, [], 0.0)
-    zero_kind = MUTATION if force_mutation else None
-    pasted = paste_back_to_back(x_left, x_right, zero_kind=zero_kind)
-    pasted = resample_negative_kinds(pasted, params, buf)
-    return build_color_network(params, pasted, buf)
+def _pasted_networks(params: ModelParams, zeta: float, n: int, rng, spinal: bool) -> list:
+    """n color networks pasted from zeta^M-tilted chains, unweighted.
 
-
-def sample_focal_network(
-    params: ModelParams,
-    zeta: float,
-    rng,
-    max_retries: int = 1_000_000,
-):
-    """Focal network of the local limit: L zeta^M-biased color with a uniform point.
-
-    Realized as the pasting X'_K wr X''_K (K ~ nu_circ) with the focal point
-    uniform on the K lineages alive at time 0, biased by zeta^M.  For
-    zeta <= 1 the bias is applied by exact rejection and the returned weight
-    is 1; for zeta > 1 a single draw is returned with weight zeta^M for
-    self-normalized averaging.
+    K is drawn from nu_circ(k) h_k h_j / prod_{i<=k} c_i, with h_k = E_k[zeta^M]
+    of the tilted chain and j = K (focal) or K - 1 (spinal).  All 2n halves
+    run in one ``tilted_paths`` call: the left half from K, reversed onto
+    t < 0, and the right half from j on t >= 0, joined by a time-0 mutation
+    when spinal.  A reversed down-jump from state s is marked mutation,
+    death or coalescence in the ratio mu zeta : alpha : (s-1) beta.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     buf = rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
-    from .model import sample_nu_circ
+    gen, lag = buf.generator(), int(spinal)
+    from .network import tilted_offspring_cached
 
-    for attempt in range(1, max_retries + 1):
-        K = sample_nu_circ(params, buf)
-        net = _pasted_color_network(params, K, K, buf, force_mutation=False)
-        alive = net.alive_at(0.0)
-        if len(alive) != K:
-            raise RuntimeError("pasting produced inconsistent state at time 0")
-        focal = alive[int(buf.uniform() * len(alive))]
-        net.focal_point = (focal, 0.0)
-        m = len(net.mutation_points)
-        if zeta <= 1.0:
-            if buf.uniform() < zeta**m:
-                return net, 1.0
+    m_max = max(256, tilted_offspring_cached(params)[1].size - 1)
+    hz = tilted_h_transform(params, zeta, m_max).h[:, 0]
+    nu = analytics.nu_circ_pmf(params).probs
+    ks = np.arange(1, nu.size + 1)
+    rows = np.minimum(ks, hz.size - 1)  # rows above n_trunc + 1 repeat row n_trunc
+    log_c = np.cumsum(np.log1p((zeta - 1.0) * params.mu / (params.alpha + params.mu + (ks - 1) * params.beta)))
+    with np.errstate(divide="ignore"):
+        log_w = np.log(nu) + np.log(hz[rows]) + np.log(hz[rows - lag]) - log_c
+    cdf = np.cumsum(np.exp(log_w - log_w.max()))
+    K = 1 + np.searchsorted(cdf, gen.random(n) * cdf[-1], side="right")
+    paths = tilted_paths(params, zeta, np.concatenate([K, K - lag]), gen, m_max)
+    o = paths.offsets
+    # each left event as it reads reversed: it enters the state before it, and
+    # is a birth where it was a down-jump, else a down-jump with a drawn mark
+    left = paths.states[: o[n]]
+    before = np.concatenate([[0], left[:-1]])
+    before[o[:n]] = K
+    up = np.frombuffer(paths.kinds.encode(), dtype=np.uint8)[: o[n]] == ord(BIRTH)
+    s = left[up]
+    u = gen.random(s.size) * (params.mu * zeta + params.alpha + (s - 1) * params.beta)
+    reversed_kind = np.full(o[n], ord(BIRTH), dtype=np.uint8)
+    marks = np.frombuffer((MUTATION + DEATH + COALESCENCE).encode(), dtype=np.uint8)
+    reversed_kind[up] = marks[np.searchsorted([params.mu * zeta, params.mu * zeta + params.alpha], u, side="right")]
+    rkinds, before, kinds = reversed_kind.tobytes().decode("ascii"), before.tolist(), paths.kinds
+    times, states, o, K = paths.times.tolist(), paths.states.tolist(), o.tolist(), K.tolist()
+    nets = []
+    for i in range(n):
+        a, b = o[i], o[i + 1] - 1  # the left half's events before its absorption at b
+        events = [(-times[j], rkinds[j], before[j]) for j in range(b - 1, a - 1, -1)]
+        if spinal:
+            events.append((0.0, MUTATION, K[i] - 1))
+        c, d = o[n + i], o[n + i + 1]
+        events += zip(times[c:d], kinds[c:d], states[c:d])
+        net = build_color_network(params, MarkedTrajectory(1, events, -times[b]), buf)
+        if spinal:
+            net.focal_point = next(mp for mp in net.mutation_points if mp[1] == 0.0)
         else:
-            return net, zeta**m
-    raise RetryBudgetError("focal-network rejection exhausted retries", max_retries, 0.0)
+            alive = net.alive_at(0.0)
+            net.focal_point = (alive[int(buf.uniform() * len(alive))], 0.0)
+        nets.append(net)
+    return nets
 
 
-def sample_spinal_network(
-    params: ModelParams,
-    zeta: float,
-    rng,
-    max_retries: int = 1_000_000,
-):
-    """Spinal network: mutation-point-rooted color, biased by zeta^M.
+def focal_network_batch(params: ModelParams, zeta: float, n: int, rng) -> list:
+    """n focal networks of the local limit: L zeta^M-biased colors with a uniform point.
 
-    Pasting X'_K wr X''_{K-1} with the time-0 down-jump forced to be a
-    mutation; the focal point is that mutation.
+    Each is the pasting of two tilted chains from K, the number of lineages
+    alive at time 0 (see :func:`_pasted_networks`), with the focal point
+    uniform on those K lineages at time 0.
     """
-    buf = rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
-    from .model import sample_nu_circ
+    return _pasted_networks(params, zeta, n, rng, spinal=False)
 
-    for attempt in range(1, max_retries + 1):
-        K = sample_nu_circ(params, buf)
-        net = _pasted_color_network(params, K, K - 1, buf, force_mutation=True)
-        focal = next(mp for mp in net.mutation_points if mp[1] == 0.0)
-        net.focal_point = focal
-        m = len(net.mutation_points)
-        if zeta <= 1.0:
-            if buf.uniform() < zeta**m:
-                return net, 1.0
-        else:
-            return net, zeta**m
-    raise RetryBudgetError("spinal-network rejection exhausted retries", max_retries, 0.0)
+
+def sample_focal_network(params: ModelParams, zeta: float, rng) -> ColorNetwork:
+    """One focal network, the batch of one of :func:`focal_network_batch`."""
+    return focal_network_batch(params, zeta, 1, rng)[0]
+
+
+def spinal_network_batch(params: ModelParams, zeta: float, n: int, rng) -> list:
+    """n spinal networks: mutation-point-rooted colors, biased by zeta^M.
+
+    Each is the pasting of a tilted chain from K, reversed, and one from
+    K - 1, joined by a mutation at time 0 that is the focal point.
+    """
+    return _pasted_networks(params, zeta, n, rng, spinal=True)
+
+
+def sample_spinal_network(params: ModelParams, zeta: float, rng) -> ColorNetwork:
+    """One spinal network, the batch of one of :func:`spinal_network_batch`."""
+    return spinal_network_batch(params, zeta, 1, rng)[0]
 
 
 @dataclass
@@ -373,7 +391,6 @@ class LocalBall:
     focal_id: int
     spine_ids: list
     r: int
-    weight: float
 
     @property
     def focal(self) -> ColorNetwork:
@@ -384,10 +401,11 @@ def sample_local_ball(params: ModelParams, zeta: float, r: int, rng) -> LocalBal
     """Radius-r ball of the local weak limit around the focal point.
 
     Spine vertices carry size-biased tilted outdegrees (always >= 1) and
-    decorations conditioned on them, attached to the previous spine vertex
-    at a uniformly chosen mutation index; all other materialized vertices
-    carry tilted-offspring Galton-Watson subtrees truncated at tree
-    distance r, decorated conditionally on their outdegrees.
+    are attached to the previous spine vertex at a uniformly chosen
+    mutation index; all other materialized vertices carry tilted-offspring
+    Galton-Watson subtrees truncated at tree distance r.  The focal network
+    is drawn first, then the ball's shape, then every other vertex's
+    decoration, conditioned on its outdegree, in one ``decorate_batch`` call.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -398,51 +416,33 @@ def sample_local_ball(params: ModelParams, zeta: float, r: int, rng) -> LocalBal
     cdf = np.cumsum(probs)
     sb = np.arange(len(probs)) * probs
     sb_cdf = np.cumsum(sb)
-    vertices: list = []
-
-    def draw_outdeg() -> int:
-        return int(np.searchsorted(cdf, buf.uniform() * cdf[-1], side="right"))
+    focal_net = sample_focal_network(params, zeta, buf)
+    m_focal = len(focal_net.mutation_points)
+    vertices = [BallVertex(0, m_focal, focal_net, role="focal")]
 
     def grow_offspring(depth: int) -> int:
-        d = draw_outdeg()
+        d = int(np.searchsorted(cdf, buf.uniform() * cdf[-1], side="right"))
         vid = len(vertices)
-        vertices.append(BallVertex(depth, d, decorate(params, d, buf)))
-        if depth < r:
-            vertices[vid].children = [grow_offspring(depth + 1) for _ in range(d)]
-        else:
-            vertices[vid].children = [-1] * d
+        vertices.append(BallVertex(depth, d, None))
+        vertices[vid].children = [grow_offspring(depth + 1) for _ in range(d)] if depth < r else [-1] * d
         return vid
 
-    focal_net, weight = sample_focal_network(params, zeta, buf)
-    m_focal = len(focal_net.mutation_points)
-    focal = BallVertex(0, m_focal, focal_net, role="focal")
-    vertices.append(focal)
-    focal_id = 0
-    if r > 0:
-        focal.children = [grow_offspring(1) for _ in range(m_focal)]
-    else:
-        focal.children = [-1] * m_focal
+    vertices[0].children = [grow_offspring(1) for _ in range(m_focal)] if r > 0 else [-1] * m_focal
     spine_ids = []
-    below = focal_id
+    below = 0
     for k in range(1, r + 1):
         mstar = 1 + int(np.searchsorted(sb_cdf, buf.uniform() * sb_cdf[-1], side="right"))
         attach = int(buf.uniform() * mstar)
-        dec = decorate(params, mstar, buf)
-        v = BallVertex(k, mstar, dec, role="spine", attach_index=attach)
         vid = len(vertices)
-        vertices.append(v)
-        children = []
-        for slot in range(mstar):
-            if slot == attach:
-                children.append(below)
-            elif k + 1 <= r:
-                children.append(grow_offspring(k + 1))
-            else:
-                children.append(-1)
-        v.children = children
+        vertices.append(BallVertex(k, mstar, None, role="spine", attach_index=attach))
+        vertices[vid].children = [
+            below if slot == attach else (grow_offspring(k + 1) if k < r else -1) for slot in range(mstar)
+        ]
         spine_ids.append(vid)
         below = vid
-    return LocalBall(vertices, focal_id, spine_ids, r, weight)
+    for v, dec in zip(vertices[1:], decorate_batch(params, [v.outdegree for v in vertices[1:]], buf)):
+        v.decoration = dec
+    return LocalBall(vertices, 0, spine_ids, r)
 
 
 def prob_N_table(params: ModelParams, zeta: float, tol: float = 1e-10) -> np.ndarray:

@@ -4,17 +4,22 @@ The lineage count of a color is a birth-death chain absorbed at 0: from
 state ``k`` it jumps to ``k+1`` at rate ``k`` and to ``k-1`` at rate
 ``k*rho_k``.  Down-jumps split into mutation / death / coalescence marks
 with probabilities ``mu/rho_k``, ``alpha/rho_k``, ``(k-1)*beta/rho_k``.
-``simulate_trajectory`` draws one marked path; ``simulate_batch`` draws
-only the summaries M, T, L and the sum of mutation times of many runs at
-once, from one start state or one per run, advancing all live runs one jump
-per NumPy step, for Monte Carlo that reads nothing else.
-``conditioned_paths`` draws whole paths from the law given M = m, one m
-per path, by the Doob h-transform of the chain on (state, mutations still
-to come), with all live paths again advancing in lockstep;
-``condition_on_mutations`` is its rejection oracle.  This module also
-provides the trajectory viewed from a uniformly chosen mutation, built by
-back-to-back pasting of two independent runs started from a state drawn
-from the size-weighted law ``nu_circ``."""
+The samplers:
+
+- ``simulate_trajectory`` draws one marked path;
+- ``simulate_batch`` draws only the summaries M, T, L and the sum of
+  mutation times of many runs at once, from one start state or one per
+  run, advancing all live runs one jump per NumPy step, for Monte Carlo
+  that reads nothing else;
+- ``conditioned_paths`` draws whole paths from the law given M = m, one m
+  per path, by the Doob h-transform of the chain on (state, mutations
+  still to come); ``condition_on_mutations`` is its rejection oracle;
+- ``tilted_paths`` draws whole paths of the zeta^M-tilted chain, the Doob
+  h-transform with h_k = E_k[zeta^M], for the local-limit samplers.
+
+The two h-transform samplers share one lockstep stepper, which advances
+every live path one event per NumPy step on one uniform each.
+"""
 
 from __future__ import annotations
 
@@ -312,16 +317,16 @@ def condition_on_mutations(
 
 
 class HTransform(NamedTuple):
-    """The Doob h-transform of the jump chain conditioned on M, and its step tables.
+    """A Doob h-transform of the jump chain, and the step tables it is run by.
 
-    ``h[k, r]`` = P_k(M = r), k = 0..n_trunc+1, r = 0..m_max: row k is row
-    k-1 convolved with the mutation count of one k-excursion
-    (``analytics.offspring_tables``); above n_trunc excursions carry no
-    mutation, so row n_trunc+1 is row n_trunc.  The step tables, indexed by
-    k*(m_max+1) + r, hold the cumulative probabilities of an up-step, a
-    mutation and a death from state k with r mutations to come (``cum``;
-    the rest is a coalescence; NaN where every weight underflowed) and the
-    mean holding time of state k (``hold``).
+    A path's place in the tables is its index k*w + r, for state k and
+    column r of the w = ``h.shape[1]`` columns of ``h``.  Rows
+    k = 0..n_trunc+1 of ``h`` hold the h-function; above n_trunc
+    excursions carry no mutation, so row n_trunc+1 is row n_trunc.  The step
+    tables, indexed by the index, hold the cumulative probabilities of an
+    up-step, a mutation and a death (``cum``; the rest is a coalescence; NaN
+    where every weight underflowed) and the mean holding time of the state
+    (``hold``).
     """
 
     h: np.ndarray
@@ -330,56 +335,102 @@ class HTransform(NamedTuple):
     hold: np.ndarray
 
 
-def h_transform(params: ModelParams, m_max: int = 256, top: int = 0) -> HTransform:
-    """The h-transform of a parameter set, with step tables through state
-    ``top`` at least; kept in its ModelTables by m_max.
+def _kept_table(params: ModelParams, store: dict, key, top: int, build) -> HTransform:
+    """The h-transform kept in ``store`` under ``key``, with step tables
+    through state ``top`` at least.
 
-    From (k, r) the chain goes up, takes a mutation, dies or coalesces with
-    weights h(k+1, r), mu h(k-1, r-1), alpha h(k-1, r), (k-1) beta h(k-1, r).
-    They sum to (1 + rho_k) h(k, r), the first-step equation of h; each row
-    is divided by its own sum, which absorbs the rounding.  Above n_trunc a
-    down-step is a death or a coalescence with odds alpha : (k-1) beta, as
-    in the truncated model of the tables.
+    ``build()`` returns the h-function and the weight of a mutation from
+    each state k = 1..n_trunc before the factor mu.  From state k the chain
+    goes up, takes a mutation, dies or coalesces with weights h(k+1),
+    mu mut(k), alpha h(k-1) and (k-1) beta h(k-1), which sum to
+    (1 + rho_k) h(k), the first-step equation of h; each row is divided by
+    its own sum, which absorbs the rounding.  Above n_trunc a down-step is a
+    death or a coalescence with odds alpha : (k-1) beta, as in the truncated
+    model of the tables.
     """
-    tab, w = tables(params), m_max + 1
-    ht = tab.h.get(m_max)
-    if ht is not None and ht.hold.size > top * w:
+    ht = store.get(key)
+    if ht is not None and ht.hold.size > top * ht.h.shape[1]:
         return ht
     if ht is None:
-        from .analytics import offspring_tables
-
-        P, n_trunc, _ = offspring_tables(params, m_max)
-        h = np.zeros((n_trunc + 2, w))
-        h[0, 0] = 1.0
-        for k in range(1, n_trunc + 1):
-            h[k] = np.convolve(P[k], h[k - 1])[:w]
-        h[n_trunc + 1] = h[n_trunc]
+        h, mut = build()
+        n_trunc, w = h.shape[0] - 2, h.shape[1]
         below = h[:-2]
         weights = np.stack(
-            [
-                h[2:],
-                params.mu * np.pad(below, ((0, 0), (1, 0)))[:, :w],
-                params.alpha * below,
-                np.arange(n_trunc)[:, None] * params.beta * below,
-            ]
+            [h[2:], params.mu * mut, params.alpha * below, np.arange(n_trunc)[:, None] * params.beta * below]
         )
         with np.errstate(invalid="ignore"):
             cum = np.cumsum(weights[:3], axis=0) / weights.sum(axis=0)
         low = np.concatenate([np.full((3, 1, w), np.nan), cum], axis=1).reshape(3, -1)  # state 0 is never left
     else:
-        h, n_trunc, low = ht.h, ht.n_trunc, ht.cum[:, : (ht.n_trunc + 1) * w]
+        h, n_trunc, w = ht.h, ht.n_trunc, ht.h.shape[1]
+        low = ht.cum[:, : (n_trunc + 1) * w]
     size = max(2 * top, n_trunc + 16)
     p_up, _, hold = _batch_rates(params, size)
     up = p_up[n_trunc + 1 :]
     k = np.arange(n_trunc + 1, size)
     death = up + (1.0 - up) * params.alpha / (params.alpha + (k - 1) * params.beta)
     above = np.repeat(np.stack([up, up, death]), w, axis=1)
-    ht = tab.h[m_max] = HTransform(h, n_trunc, np.concatenate([low, above], axis=1), np.repeat(hold, w))
+    ht = store[key] = HTransform(h, n_trunc, np.concatenate([low, above], axis=1), np.repeat(hold, w))
     return ht
 
 
+def h_transform(params: ModelParams, m_max: int = 256, top: int = 0) -> HTransform:
+    """The h-transform of the jump chain given M, with step tables through
+    state ``top`` at least; kept in its ModelTables by m_max.
+
+    Column r is the number of mutations still to come:
+    h(k, r) = P_k(M = r), r = 0..m_max, where row k is row k-1 convolved
+    with the mutation count of one k-excursion
+    (``analytics.offspring_tables``).  A mutation leads to column r-1.
+    """
+
+    def build():
+        from .analytics import offspring_tables
+
+        P, n_trunc, _ = offspring_tables(params, m_max)
+        w = m_max + 1
+        h = np.zeros((n_trunc + 2, w))
+        h[0, 0] = 1.0
+        for k in range(1, n_trunc + 1):
+            h[k] = np.convolve(P[k], h[k - 1])[:w]
+        h[n_trunc + 1] = h[n_trunc]
+        return h, np.pad(h[:-2], ((0, 0), (1, 0)))[:, :w]
+
+    return _kept_table(params, tables(params).h, m_max, top, build)
+
+
+def tilted_h_transform(params: ModelParams, zeta: float, m_max: int = 256, top: int = 0) -> HTransform:
+    """The h-transform of the zeta^M-tilted jump chain, with step tables
+    through state ``top`` at least; kept in its ModelTables by (zeta, m_max).
+
+    h(k) = E_k[zeta^M] on the truncated model of :func:`h_transform`: the
+    zeta^r-weighted sum of its row k, as one column.  A mutation weighs
+    zeta h(k-1); the holding times are the untilted ones, since the tilt
+    reads only the jump chain.  A zeta^r that overflows raises
+    NumericalFailure, and so does a last column whose term
+    m_max zeta^m_max h(k, m_max) is above 1e-9 h(k): the tilted law then has
+    mass beyond the tables.
+    """
+
+    def build():
+        h = h_transform(params, m_max).h
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = np.power(zeta, np.arange(m_max + 1, dtype=float))
+            hz = h @ powers
+            if not np.isfinite(hz).all():
+                raise NumericalFailure(f"the tilt zeta^r at zeta = {zeta} overflows the h-table (m_max={m_max})")
+        if (m_max * h[:, -1] * powers[-1] > 1e-9 * hz).any():
+            raise NumericalFailure(
+                f"the zeta^M-tilted law at zeta = {zeta} has mass beyond m_max = {m_max} of the offspring tables"
+            )
+        hz = hz[:, None]
+        return hz, zeta * hz[:-2]
+
+    return _kept_table(params, tables(params).h_zeta, (zeta, m_max), top, build)
+
+
 class PathBatch(NamedTuple):
-    """Jump chains of a batch, path after path, each from state 1 at time 0.
+    """Jump chains of a batch, path after path, each from its start state at time 0.
 
     Path i is the events ``offsets[i]:offsets[i+1]``: ``kinds`` holds one
     letter of "BMDC" per event, ``states`` the state after it and ``times``
@@ -395,42 +446,32 @@ class PathBatch(NamedTuple):
 _KIND_LETTERS = np.frombuffer((BIRTH + MUTATION + DEATH + COALESCENCE).encode(), dtype=np.uint8)
 
 
-def conditioned_paths(
-    params: ModelParams, ms, gen: np.random.Generator, m_max: int = 256, event_cap: int = DEFAULT_EVENT_CAP
-) -> PathBatch:
-    """Exact draws from the trajectory law given M = m, one path per entry of ms.
+def _lockstep(table, starts: np.ndarray, step: np.ndarray, gen: np.random.Generator, event_cap: int) -> PathBatch:
+    """Jump chains of an h-transform, one path per start index.
 
-    Each path runs the chain of :func:`h_transform` on (state k, mutations
-    to come r) from (1, m), kept as the table index k*(m_max+1) + r; all
-    live paths advance one event per NumPy step, on one uniform each.  The
-    holding times, independent of the marks, are drawn after the chains as
-    one exponential per event times the mean holding time of its state.
-    The batch is checked before anything is drawn: an m below 0 raises
-    ValueError, an m above m_max or whose P(M = m) is below the smallest
-    normal float raises NumericalFailure.  A path alive after ``event_cap``
-    events raises :class:`EventCapError`, one that passed a row of
-    underflowed weights NumericalFailure.
+    ``table(top)`` returns the :class:`HTransform` with step tables through
+    state top, ``starts`` holds each path's table index at time 0 and
+    ``step`` the index change of a birth, a mutation, a death and a
+    coalescence.  All live paths advance one event per NumPy step, on one
+    uniform each; a path ends in state 0, so one that starts there has no
+    events.  The holding times, independent of the marks, are drawn after
+    the chains as one exponential per event times the mean holding time of
+    its state.  A path alive after ``event_cap`` events raises
+    :class:`EventCapError`, one that passed a row of underflowed weights
+    NumericalFailure.
     """
-    ms = np.asarray(ms, dtype=np.int64).reshape(-1)
-    if ms.size and ms.min() < 0:
-        raise ValueError(f"m must be >= 0, got {ms.min()}")
-    ht = h_transform(params, m_max)
-    bad = ms[(ms > m_max) | (ht.h[1, np.minimum(ms, m_max)] < np.finfo(float).tiny)]
-    if bad.size:
-        raise NumericalFailure(
-            f"P(M = {bad[0]}) is zero or underflowed in the offspring tables (m_max={m_max}): beyond the support"
-        )
-    n, w = ms.size, m_max + 1
-    step = np.array([w, -w - 1, -w, -w])  # index change of a birth, mutation, death, coalescence
+    ht = table(0)
+    n, w = starts.size, ht.h.shape[1]
     cap = 4 * n + 64
     rec_col, rec_at, rec_kind = (np.empty(cap, dtype=np.int64) for _ in range(3))
-    col, at = np.arange(n), w + ms
+    col = np.flatnonzero(starts >= w)
+    at = starts[col]
     bounds = [0]
     while col.size:
         if len(bounds) > event_cap:
             raise EventCapError(event_cap, int(at[0]) // w)
         if at.max() >= ht.hold.size:
-            ht = h_transform(params, m_max, int(at.max()) // w)
+            ht = table(int(at.max()) // w)
         # 0 birth, 1 mutation, 2 death, 3 coalescence
         kind = (gen.random(col.size) >= ht.cum[:, at]).sum(axis=0)
         pos, end = bounds[-1], bounds[-1] + col.size
@@ -445,7 +486,7 @@ def conditioned_paths(
             col, at = col[live], at[live]
     pos = bounds[-1]
     if np.isnan(ht.cum[0, rec_at[:pos]]).any():
-        raise NumericalFailure("a conditioned path passed a state whose h-transform weights underflowed")
+        raise NumericalFailure("a path passed a state whose h-transform weights underflowed")
     # holding times, one exponential per event, summed along each path step by step
     held = gen.standard_exponential(pos) * ht.hold[rec_at[:pos]]
     clock, rec_time = np.zeros(n), np.empty(pos)
@@ -461,6 +502,44 @@ def conditioned_paths(
     return PathBatch(_KIND_LETTERS[kind].tobytes().decode("ascii"), states, rec_time[order], offsets)
 
 
+def conditioned_paths(
+    params: ModelParams, ms, gen: np.random.Generator, m_max: int = 256, event_cap: int = DEFAULT_EVENT_CAP
+) -> PathBatch:
+    """Exact draws from the trajectory law given M = m, one path per entry of ms.
+
+    Each path runs the chain of :func:`h_transform` on (state k, mutations
+    to come r) from (1, m) on the lockstep stepper.  The batch is checked
+    before anything is drawn: an m below 0 raises ValueError, an m above
+    m_max or whose P(M = m) is below the smallest normal float raises
+    NumericalFailure.
+    """
+    ms = np.asarray(ms, dtype=np.int64).reshape(-1)
+    if ms.size and ms.min() < 0:
+        raise ValueError(f"m must be >= 0, got {ms.min()}")
+    ht = h_transform(params, m_max)
+    bad = ms[(ms > m_max) | (ht.h[1, np.minimum(ms, m_max)] < np.finfo(float).tiny)]
+    if bad.size:
+        raise NumericalFailure(
+            f"P(M = {bad[0]}) is zero or underflowed in the offspring tables (m_max={m_max}): beyond the support"
+        )
+    w = m_max + 1
+    step = np.array([w, -w - 1, -w, -w])
+    return _lockstep(lambda top: h_transform(params, m_max, top), w + ms, step, gen, event_cap)
+
+
+def tilted_paths(params: ModelParams, zeta: float, starts, gen: np.random.Generator, m_max: int = 256) -> PathBatch:
+    """Exact draws of the zeta^M-tilted jump chain, one path per start state.
+
+    The chain of :func:`tilted_h_transform` on the lockstep stepper; a
+    start state of 0 gives an empty path, one below 0 raises ValueError.
+    """
+    starts = np.asarray(starts, dtype=np.int64).reshape(-1)
+    if starts.size and starts.min() < 0:
+        raise ValueError(f"start states must be >= 0, got {starts.min()}")
+    step = np.array([1, -1, -1, -1])
+    return _lockstep(lambda top: tilted_h_transform(params, zeta, m_max, top), starts, step, gen, DEFAULT_EVENT_CAP)
+
+
 def sample_conditioned_path(
     params: ModelParams, m: int, rng, m_max: int = 256, event_cap: int = DEFAULT_EVENT_CAP
 ) -> MarkedTrajectory:
@@ -473,97 +552,3 @@ def sample_conditioned_path(
     buf = _as_buffered(rng)
     p = conditioned_paths(params, [m], buf.generator(), m_max, event_cap)
     return MarkedTrajectory(1, list(zip(p.times.tolist(), p.kinds, p.states.tolist())), 0.0)
-
-
-def paste_back_to_back(f: MarkedTrajectory, g: MarkedTrajectory, zero_kind: str | None = None):
-    """Back-to-back pasting: left-limit time reversal of f on t<0, then g on t>=0.
-
-    The result lives on [-T_f, T_g).  Marks of f are carried over at negated
-    times; on the reversed section a carried kind labels the originating
-    event of f, whose jump direction is flipped by the reversal.  When the
-    left limit at 0 differs from g(0) by one, an explicit joining event is
-    inserted at time 0 with kind ``zero_kind``.
-    """
-    if f.start_time != 0.0 or g.start_time != 0.0:
-        raise ValueError("paste_back_to_back expects f and g defined from time 0")
-    if not f.events:
-        raise ValueError("f must have at least one event (it must reach 0)")
-    events = []
-    # f's final (absorbing) event becomes the left edge of the domain;
-    # interior events reverse, with state_after = f's state just before them.
-    for j in range(len(f.events) - 2, -1, -1):
-        u, kind, _ = f.events[j]
-        before = f.events[j - 1][2] if j >= 1 else f.initial_state
-        events.append((-u, kind, before))
-    left_limit = f.initial_state
-    if left_limit != g.initial_state:
-        if abs(left_limit - g.initial_state) != 1:
-            raise ValueError(
-                f"cannot join states {left_limit} -> {g.initial_state} with one event"
-            )
-        if zero_kind is None:
-            raise ValueError("zero_kind required when f(0-) != g(0)")
-        events.append((0.0, zero_kind, g.initial_state))
-    events.extend(g.events)
-    start = -f.events[-1][0]
-    init = f.events[-2][2] if len(f.events) >= 2 else f.initial_state
-    return MarkedTrajectory(init, events, start)
-
-
-def resample_negative_kinds(traj: MarkedTrajectory, params: ModelParams, rng) -> MarkedTrajectory:
-    """Redraw marks on the t<0 section so kinds agree with jump directions.
-
-    Given the state path, down-jump kinds are independent categorical draws
-    (mutation mu/rho_k, death alpha/rho_k, else coalescence, k = state
-    before the jump); up-jumps are births.  Events at t >= 0 are untouched.
-    """
-    buf = _as_buffered(rng)
-    events = []
-    s = traj.initial_state
-    for t, kind, s_after in traj.events:
-        if t >= 0:
-            events.append((t, kind, s_after))
-        elif s_after > s:
-            events.append((t, BIRTH, s_after))
-        else:
-            k = s
-            rho = params.rho(k)
-            u = buf.uniform() * rho
-            if u < params.mu:
-                events.append((t, MUTATION, s_after))
-            elif u < params.mu + params.alpha:
-                events.append((t, DEATH, s_after))
-            else:
-                events.append((t, COALESCENCE, s_after))
-        s = s_after
-    return MarkedTrajectory(traj.initial_state, events, traj.start_time)
-
-
-def sample_nu_circ(params: ModelParams, rng, tol: float = 1e-12) -> int:
-    """State seen just before a uniform mutation: P(K=n) proportional to prod 1/rho_k."""
-    from .analytics import nu_circ_pmf
-
-    pmf = nu_circ_pmf(params, tol)
-    buf = _as_buffered(rng)
-    cdf = np.cumsum(pmf.probs)
-    return 1 + buf.choice_index(cdf)
-
-
-def sample_x_mut(params: ModelParams, rng, tol: float = 1e-12) -> MarkedTrajectory:
-    """Trajectory viewed from a uniformly chosen mutation time, biased by M.
-
-    Draws K ~ nu_circ, pastes an independent run from K (time-reversed, on
-    t<0) to a run from K-1 (on t>=0); the joining down-jump at time 0 is the
-    distinguished mutation.  Kinds on the reversed section are redrawn from
-    the categorical mark law, which is the conditional law of the remaining
-    marks given the distinguished one.
-    """
-    buf = _as_buffered(rng)
-    K = sample_nu_circ(params, buf, tol)
-    x_left = simulate_trajectory(params, K, buf)
-    if K > 1:
-        x_right = simulate_trajectory(params, K - 1, buf)
-    else:
-        x_right = MarkedTrajectory(0, [], 0.0)
-    pasted = paste_back_to_back(x_left, x_right, zero_kind=MUTATION)
-    return resample_negative_kinds(pasted, params, buf)

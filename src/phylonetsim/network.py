@@ -48,7 +48,6 @@ from .model import (
     MUTATION,
     MarkedTrajectory,
     conditioned_paths,
-    simulate_trajectory,
 )
 from .params import ModelParams, tables
 from .rng import BufferedRng, RngStream
@@ -666,51 +665,18 @@ def tilted_offspring_cached(params: ModelParams):
     return tab.tilt
 
 
-def sample_network(
-    params: ModelParams, n: int, rng: RngStream, method: str = "tilted",
-    max_retries: int = 200_000,
-) -> GluedNetwork:
-    """Glued network conditioned on having exactly n colors."""
+def sample_network(params: ModelParams, n: int, rng: RngStream) -> GluedNetwork:
+    """Glued network conditioned on having exactly n colors.
+
+    The color tree is the critically tilted Galton-Watson tree given n
+    vertices, and every color's decoration is drawn in one
+    :func:`decorate_batch` call.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if method == "tilted":
-        tilt, probs = tilted_offspring_cached(params)
-        tree = sample_genealogy_tree(probs, n, rng.substream(0))
-        return GluedNetwork(tree, decorate_batch(params, [tree.outdegree(v) for v in range(n)], rng.substream(1)))
-    if method == "direct":
-        buf = BufferedRng(rng)
-        for attempt in range(1, max_retries + 1):
-            # grow the color tree depth-first from the root color
-            trajs = []
-            children = []
-            stack = [-1]
-            ok = True
-            while stack:
-                parent = stack.pop()
-                if len(trajs) >= n:
-                    ok = False
-                    break
-                traj = simulate_trajectory(params, 1, buf)
-                vid = len(trajs)
-                trajs.append(traj)
-                children.append([])
-                if parent >= 0:
-                    children[parent].append(vid)
-                # push one marker per mutation; LIFO makes ids preorder
-                stack.extend([vid] * traj.M)
-            if not ok or len(trajs) != n:
-                continue
-            degs = [len(c) for c in children]
-            tree = GenealogyTree.from_preorder_outdegrees(degs)
-            decorations = [build_color_network(params, t, buf) for t in trajs]
-            return GluedNetwork(tree, decorations)
-        raise RetryBudgetError(
-            f"direct sampler missed n={n} colors (exponentially slow off-criticality; "
-            "use method='tilted')",
-            max_retries,
-            1.0 / max_retries,
-        )
-    raise ValueError(f"unknown method {method!r}")
+    tilt, probs = tilted_offspring_cached(params)
+    tree = sample_genealogy_tree(probs, n, rng.substream(0))
+    return GluedNetwork(tree, decorate_batch(params, [tree.outdegree(v) for v in range(n)], rng.substream(1)))
 
 
 # -- contour ---------------------------------------------------------------

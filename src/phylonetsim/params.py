@@ -44,21 +44,24 @@ class ModelTables:
     a mutation and a death within one uniform draw, and ``hold[k]`` =
     1/(k (1 + rho_k)) is the mean holding time.  Row 0 (the absorbing
     state) is never read.  The other slots are filled by their owners:
-    ``offspring`` maps (m_max, tol) to ``analytics.offspring_tables``,
-    ``h`` maps m_max to the ``model.h_transform`` the conditioned sampler
-    steps by,
-    ``tilt`` holds ``analytics.tilted_offspring``, and ``memo`` maps
-    (name, tol) to the result of ``analytics.zeta_tilt`` or
-    ``analytics.malthusian``.  A typed error is raised again on every call,
-    never kept.
+
+    - ``offspring`` maps (m_max, tol) to ``analytics.offspring_tables``;
+    - ``h`` maps m_max to the ``model.h_transform`` that decorations step by;
+    - ``h_zeta`` maps (zeta, m_max) to the ``model.tilted_h_transform`` that
+      the local-limit samplers step by;
+    - ``tilt`` holds ``analytics.tilted_offspring``;
+    - ``memo`` maps (name, tol) to the result of ``analytics.zeta_tilt`` or
+      ``analytics.malthusian``.
+
+    A typed error is raised again on every call, never kept.
     """
 
-    __slots__ = ("params", "up", "mut", "death", "hold", "offspring", "h", "tilt", "memo")
+    __slots__ = ("params", "up", "mut", "death", "hold", "offspring", "h", "h_zeta", "tilt", "memo")
 
     def __init__(self, params: ModelParams):
         self.params = params
         self.up, self.mut, self.death, self.hold = [0.0], [0.0], [0.0], [0.0]
-        self.offspring, self.h, self.tilt, self.memo = {}, {}, None, {}
+        self.offspring, self.h, self.h_zeta, self.tilt, self.memo = {}, {}, {}, None, {}
 
     def grow(self, k: int) -> None:
         """Extend the rate rows through state k."""

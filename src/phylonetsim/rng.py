@@ -41,9 +41,7 @@ class BufferedRng:
     def __init__(self, stream: RngStream):
         self._gen = stream.generator()
         self._u = self._gen.random(_BUF)
-        self._e = self._gen.standard_exponential(_BUF)
         self._iu = 0
-        self._ie = 0
 
     def uniform(self) -> float:
         if self._iu == _BUF:
@@ -53,17 +51,9 @@ class BufferedRng:
         self._iu += 1
         return v
 
-    def exponential(self) -> float:
-        if self._ie == _BUF:
-            self._e = self._gen.standard_exponential(_BUF)
-            self._ie = 0
-        v = self._e[self._ie]
-        self._ie += 1
-        return v
-
     def generator(self) -> np.random.Generator:
-        """The generator behind the buffers, for draws of whole arrays.  It also
-        refills the buffers, so twin buffers making the same calls draw alike."""
+        """The generator behind the buffer, for draws of whole arrays.  It also
+        refills the buffer, so twin buffers making the same calls draw alike."""
         return self._gen
 
     def choice_index(self, cdf: np.ndarray) -> int:

@@ -8,7 +8,10 @@ significance 0.01 (Bonferroni over categories for weighted laws).
 Reference samples that need only M, T, L or the mutation-time sum of raw
 runs come from the batched ``model.simulate_batch``, and M-biased paths
 from the batched ``model.conditioned_paths``; other checks that read the
-events of a path draw it with ``model.simulate_trajectory``.
+events of a path draw it with ``model.simulate_trajectory``.  Local-limit
+checks draw their focal and spinal networks in one batch each.  The direct
+network sampler, which grows color trees from raw runs until one has n
+colors, lives here as the oracle of ``network.sample_network``.
 """
 
 from __future__ import annotations
@@ -114,24 +117,6 @@ def _weighted_props(values, weights, n_cats):
 def _ess(w) -> float:
     w = np.asarray(w, dtype=float)
     return float(w.sum() ** 2 / (w * w).sum())
-
-
-def weighted_vs_expected(name, values, weights, expected_probs, alpha=0.01, min_eff=15.0) -> Check:
-    """Bonferroni max-z comparison of a weighted sample against an exact pmf.
-
-    Tail categories with fewer than ``min_eff`` effective observations are
-    excluded (the delta-method z is not yet normal there)."""
-    k = len(expected_probs)
-    props, ses = _weighted_props(values, weights, k)
-    exp = np.asarray(expected_probs, dtype=float)
-    exp = np.concatenate([exp[: k - 1], [1.0 - exp[: k - 1].sum()]])
-    ess = _ess(weights)
-    use = (ses > 0) & (exp * ess >= min_eff)
-    if not use.any():
-        return Check(name, False, math.inf, 0.0, {"cats": 0})
-    z = np.max(np.abs(props[use] - exp[use]) / ses[use])
-    z_crit = stats.norm.ppf(1.0 - alpha / (2 * int(use.sum())))
-    return Check(name, z <= z_crit, float(z), float(z_crit), {"cats": int(use.sum())})
 
 
 def weighted_two_sample(name, va, wa, vb, wb, alpha=0.01, n_cats=None, min_eff=15.0) -> Check:
@@ -303,6 +288,102 @@ def check_intensity_identity(params: ModelParams, seed=6, n=60_000) -> list:
     return checks
 
 
+# -- pasting oracle of the trajectory viewed from a mutation -----------------
+
+
+def paste_back_to_back(f: model.MarkedTrajectory, g: model.MarkedTrajectory, zero_kind: str | None = None):
+    """Back-to-back pasting: left-limit time reversal of f on t<0, then g on t>=0.
+
+    The result lives on [-T_f, T_g).  Marks of f are carried over at negated
+    times; on the reversed section a carried kind labels the originating
+    event of f, whose jump direction is flipped by the reversal.  When the
+    left limit at 0 differs from g(0) by one, an explicit joining event is
+    inserted at time 0 with kind ``zero_kind``.
+    """
+    if f.start_time != 0.0 or g.start_time != 0.0:
+        raise ValueError("paste_back_to_back expects f and g defined from time 0")
+    if not f.events:
+        raise ValueError("f must have at least one event (it must reach 0)")
+    events = []
+    # f's final (absorbing) event becomes the left edge of the domain;
+    # interior events reverse, with state_after = f's state just before them.
+    for j in range(len(f.events) - 2, -1, -1):
+        u, kind, _ = f.events[j]
+        before = f.events[j - 1][2] if j >= 1 else f.initial_state
+        events.append((-u, kind, before))
+    left_limit = f.initial_state
+    if left_limit != g.initial_state:
+        if abs(left_limit - g.initial_state) != 1:
+            raise ValueError(
+                f"cannot join states {left_limit} -> {g.initial_state} with one event"
+            )
+        if zero_kind is None:
+            raise ValueError("zero_kind required when f(0-) != g(0)")
+        events.append((0.0, zero_kind, g.initial_state))
+    events.extend(g.events)
+    start = -f.events[-1][0]
+    init = f.events[-2][2] if len(f.events) >= 2 else f.initial_state
+    return model.MarkedTrajectory(init, events, start)
+
+
+def resample_negative_kinds(traj: model.MarkedTrajectory, params: ModelParams, rng) -> model.MarkedTrajectory:
+    """Redraw marks on the t<0 section so kinds agree with jump directions.
+
+    Given the state path, down-jump kinds are independent categorical draws
+    (mutation mu/rho_k, death alpha/rho_k, else coalescence, k = state
+    before the jump); up-jumps are births.  Events at t >= 0 are untouched.
+    """
+    buf = rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
+    events = []
+    s = traj.initial_state
+    for t, kind, s_after in traj.events:
+        if t >= 0:
+            events.append((t, kind, s_after))
+        elif s_after > s:
+            events.append((t, model.BIRTH, s_after))
+        else:
+            k = s
+            rho = params.rho(k)
+            u = buf.uniform() * rho
+            if u < params.mu:
+                events.append((t, model.MUTATION, s_after))
+            elif u < params.mu + params.alpha:
+                events.append((t, model.DEATH, s_after))
+            else:
+                events.append((t, model.COALESCENCE, s_after))
+        s = s_after
+    return model.MarkedTrajectory(traj.initial_state, events, traj.start_time)
+
+
+def sample_nu_circ(params: ModelParams, rng, tol: float = 1e-12) -> int:
+    """State seen just before a uniform mutation: P(K=n) proportional to prod 1/rho_k."""
+    pmf = analytics.nu_circ_pmf(params, tol)
+    buf = rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
+    cdf = np.cumsum(pmf.probs)
+    return 1 + buf.choice_index(cdf)
+
+
+def sample_x_mut(params: ModelParams, rng, tol: float = 1e-12) -> model.MarkedTrajectory:
+    """Trajectory viewed from a uniformly chosen mutation time, biased by M.
+
+    Draws K ~ nu_circ, pastes an independent run from K (time-reversed, on
+    t<0) to a run from K-1 (on t>=0); the joining down-jump at time 0 is the
+    distinguished mutation.  Kinds on the reversed section are redrawn from
+    the categorical mark law, which is the conditional law of the remaining
+    marks given the distinguished one.  The oracle of the M-biased view and,
+    at zeta = 1, of the spinal network.
+    """
+    buf = rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
+    K = sample_nu_circ(params, buf, tol)
+    x_left = model.simulate_trajectory(params, K, buf)
+    if K > 1:
+        x_right = model.simulate_trajectory(params, K - 1, buf)
+    else:
+        x_right = model.MarkedTrajectory(0, [], 0.0)
+    pasted = paste_back_to_back(x_left, x_right, zero_kind=model.MUTATION)
+    return resample_negative_kinds(pasted, params, buf)
+
+
 def check_x_mut_equivalence(params: ModelParams, seed=7, n=20_000, alpha=0.01) -> list:
     """sample_x_mut against independent M-biased views: K, M and duration laws."""
     K_ref, U_ref, M_ref, D_ref = sample_m_biased_view(params, RngStream(seed, 0), n)
@@ -312,7 +393,7 @@ def check_x_mut_equivalence(params: ModelParams, seed=7, n=20_000, alpha=0.01) -
     D_s = np.empty(n)
     U_s = np.empty(n)
     for i in range(n):
-        tr = model.sample_x_mut(params, buf)
+        tr = sample_x_mut(params, buf)
         K_s[i] = tr.pre_zero_state()
         M_s[i] = tr.M
         D_s[i] = tr.T
@@ -330,7 +411,7 @@ def check_x_mut_equivalence(params: ModelParams, seed=7, n=20_000, alpha=0.01) -
 
 def check_nu_circ_sampler(params: ModelParams, seed=8, n=50_000) -> list:
     buf = BufferedRng(RngStream(seed))
-    draws = np.array([model.sample_nu_circ(params, buf) for _ in range(n)])
+    draws = np.array([sample_nu_circ(params, buf) for _ in range(n)])
     pmf = analytics.nu_circ_pmf(params)
     k = min(pmf.probs.size, 12)
     probs = np.concatenate([pmf.probs[: k - 1], [1.0 - pmf.probs[: k - 1].sum()]])
@@ -698,14 +779,41 @@ def check_genealogy_methods(params: ModelParams, seed=15, n=6, n_samples=20_000,
     return [chi2_two_sample("genealogy_cycle_vs_rejection", a, b, alpha)]
 
 
+def _direct_network(params: ModelParams, n: int, rng: RngStream, max_retries: int = 200_000):
+    """Oracle for `network.sample_network`: grow color trees from raw runs, keep
+    the first with exactly n colors.  Exponentially slow off criticality."""
+    buf = BufferedRng(rng)
+    for _ in range(max_retries):
+        # grow the color tree depth-first from the root color
+        trajs = []
+        children = []
+        stack = [-1]
+        while stack and len(trajs) < n:
+            parent = stack.pop()
+            traj = model.simulate_trajectory(params, 1, buf)
+            vid = len(trajs)
+            trajs.append(traj)
+            children.append([])
+            if parent >= 0:
+                children[parent].append(vid)
+            # push one marker per mutation; LIFO makes ids preorder
+            stack.extend([vid] * traj.M)
+        if stack or len(trajs) != n:
+            continue
+        tree = network.GenealogyTree.from_preorder_outdegrees([len(c) for c in children])
+        return network.GluedNetwork(tree, [network.build_color_network(params, t, buf) for t in trajs])
+    raise RetryBudgetError(f"direct sampler missed n={n} colors", max_retries, 1.0 / max_retries)
+
+
 def check_tilted_vs_direct(params: ModelParams, seed=16, n=4, n_samples=4000, alpha=0.01) -> list:
+    """`network.sample_network` against the direct oracle, on |G| and the tree shape."""
     sizes_t = np.empty(n_samples)
     sizes_d = np.empty(n_samples)
     shape_t = np.empty(n_samples, dtype=int)
     shape_d = np.empty(n_samples, dtype=int)
     for i in range(n_samples):
-        Gt = network.sample_network(params, n, RngStream(seed, 2 * i), method="tilted")
-        Gd = network.sample_network(params, n, RngStream(seed, 2 * i + 1), method="direct")
+        Gt = network.sample_network(params, n, RngStream(seed, 2 * i))
+        Gd = _direct_network(params, n, RngStream(seed, 2 * i + 1))
         sizes_t[i] = Gt.total_length
         sizes_d[i] = Gd.total_length
         shape_t[i] = Gt.tree.height() * (n + 1) + Gt.tree.outdegree(0)
@@ -1032,28 +1140,21 @@ def _focal_reference(params: ModelParams, zeta: float, seed, n):
 
 
 def check_focal_sampler(params: ModelParams, seed=23, n=30_000, alpha=0.01) -> list:
-    tilt = analytics.zeta_tilt(params)
-    zeta = tilt.zeta
+    """Focal-network N law against prob_N, and its M law against n batched raw
+    runs weighted by L zeta^M; the n draws come from one batch."""
+    zeta = analytics.zeta_tilt(params).zeta
     buf = BufferedRng(RngStream(seed, 0))
-    Ns = np.empty(n, dtype=int)
-    Ms = np.empty(n, dtype=int)
-    Ws = np.empty(n)
-    for i in range(n):
-        net, w = limits.sample_focal_network(params, zeta, buf)
-        Ns[i] = len(net.alive_at(0.0))
-        Ms[i] = len(net.mutation_points)
-        Ws[i] = w
+    nets = limits.focal_network_batch(params, zeta, n, buf)
+    Ns = np.array([len(net.alive_at(0.0)) for net in nets])
+    Ms = np.array([len(net.mutation_points) for net in nets])
     tab = limits.prob_N_table(params, zeta)
     kcap = 8
     probs = np.concatenate([tab[: kcap - 1], [1.0 - tab[: kcap - 1].sum()]])
-    c1 = weighted_vs_expected("focal_N_law", Ns - 1, Ws, probs, alpha)
+    c1 = chi2_vs_expected("focal_N_law", Ns - 1, probs, alpha)
     m_ref, w_ref = _focal_reference(params, zeta, seed * 31 + 1, n)
     mcap = int(max(Ms.max(), m_ref.max())) + 1
-    c2 = weighted_two_sample("focal_M_law", Ms, Ws, m_ref, w_ref, alpha, n_cats=min(mcap, 12))
-    neg = all(
-        net_t < 0
-        for net_t in [limits.sample_focal_network(params, zeta, buf)[0].trajectory.start_time for _ in range(50)]
-    )
+    c2 = weighted_two_sample("focal_M_law", Ms, np.ones(n), m_ref, w_ref, alpha, n_cats=min(mcap, 12))
+    neg = all(net.birth_time[0] < 0 for net in limits.focal_network_batch(params, zeta, 50, buf))
     c3 = Check("focal_root_time_negative", neg, 0.0, 0.0)
     return [c1, c2, c3]
 
@@ -1061,31 +1162,26 @@ def check_focal_sampler(params: ModelParams, seed=23, n=30_000, alpha=0.01) -> l
 def check_spinal_sampler(params: ModelParams, seed=24, n=30_000, alpha=0.01) -> list:
     """Spinal-network M law against n batched raw runs weighted by M zeta^M,
     and its pre-0 state law at zeta = 1 against sample_x_mut."""
-    tilt = analytics.zeta_tilt(params)
-    zeta = tilt.zeta
-    buf = BufferedRng(RngStream(seed, 0))
-    Ms = np.empty(n, dtype=int)
-    Ws = np.empty(n)
-    ok_mut = True
-    for i in range(n):
-        net, w = limits.sample_spinal_network(params, zeta, buf)
-        Ms[i] = len(net.mutation_points)
-        Ws[i] = w
-        ok_mut &= net.focal_point is not None and net.focal_point[1] == 0.0
+    zeta = analytics.zeta_tilt(params).zeta
+    nets = limits.spinal_network_batch(params, zeta, n, BufferedRng(RngStream(seed, 0)))
+    Ms = np.array([len(net.mutation_points) for net in nets])
+    ok_mut = all(
+        net.focal_point is not None
+        and net.focal_point[1] == 0.0
+        and net.end_kind[net.focal_point[0]] == model.MUTATION
+        for net in nets
+    )
     c0 = Check("spinal_focal_is_time0_mutation", ok_mut, 0.0, 0.0)
     # reference: batched raw runs weighted by M zeta^M
     m_ref = model.simulate_batch(params, 1, n, RngStream(seed, 1)).M
     w_ref = m_ref * zeta**m_ref
     mcap = int(max(Ms.max(), m_ref.max())) + 1
-    c1 = weighted_two_sample("spinal_M_law", Ms, Ws, m_ref, w_ref, alpha, n_cats=min(mcap, 12))
+    c1 = weighted_two_sample("spinal_M_law", Ms, np.ones(n), m_ref, w_ref, alpha, n_cats=min(mcap, 12))
     # at zeta = 1 the pre-0 state law is exactly the one of sample_x_mut
-    buf3 = BufferedRng(RngStream(seed, 2))
-    k_spinal = np.empty(8000, dtype=int)
-    for i in range(8000):
-        net, _ = limits.sample_spinal_network(params, 1.0, buf3)
-        k_spinal[i] = net.trajectory.pre_zero_state()
+    nets = limits.spinal_network_batch(params, 1.0, 8000, BufferedRng(RngStream(seed, 2)))
+    k_spinal = np.array([net.trajectory.pre_zero_state() for net in nets])
     buf4 = BufferedRng(RngStream(seed, 3))
-    k_xmut = np.array([model.sample_x_mut(params, buf4).pre_zero_state() for _ in range(8000)])
+    k_xmut = np.array([sample_x_mut(params, buf4).pre_zero_state() for _ in range(8000)])
     c2 = chi2_two_sample("spinal_K_matches_x_mut_at_zeta1", k_spinal, k_xmut, alpha)
     return [c0, c1, c2]
 
@@ -1134,21 +1230,16 @@ def check_finite_n_local(
     kcap = 6
     probs = np.concatenate([tab[: kcap - 1], [1.0 - tab[: kcap - 1].sum()]])
     c1 = chi2_vs_expected("finite_n_N_law", Ns - 1, probs, alpha)
-    # focal outdegree law from the limit sampler
-    buf = BufferedRng(RngStream(seed, 10_000_000))
-    Md = np.empty(ball_samples, dtype=int)
-    Wd = np.empty(ball_samples)
-    for i in range(ball_samples):
-        net, w = limits.sample_focal_network(params, zeta, buf)
-        Md[i] = len(net.mutation_points)
-        Wd[i] = w
+    # focal outdegree law from the limit sampler, in one batch
+    nets = limits.focal_network_batch(params, zeta, ball_samples, BufferedRng(RngStream(seed, 10_000_000)))
+    Md = np.array([len(net.mutation_points) for net in nets])
     mcap = 8
     c2 = weighted_two_sample(
         "finite_n_focal_outdegree",
         np.minimum(out_deg, mcap - 1),
         np.ones(n_networks),
         np.minimum(Md, mcap - 1),
-        Wd,
+        np.ones(ball_samples),
         alpha,
         n_cats=mcap,
     )
@@ -1158,7 +1249,12 @@ def check_finite_n_local(
 def check_time_since_mutation(params: ModelParams, seed=27, n_networks=300, n=2000, alpha=0.01, n_mc=40_000) -> Check:
     """Joint (N, dyadic time bin) law around a uniform point against the
     nu_circ decomposition (conditional on N=k the elapsed time is the
-    zeta^M-biased absorption time from state k, drawn as n_mc batched runs)."""
+    zeta^M-biased absorption time from state k, drawn as n_mc batched runs).
+
+    Each cell's z is a score test: the binomial error of n_networks points
+    at the target proportion, combined with the error of the weighted
+    reference.  An error taken from the observed proportion collapses in a
+    cell with 0 or 1 hits and inflates its z."""
     tilt = analytics.zeta_tilt(params)
     zeta = tilt.zeta
     ks = []
@@ -1178,20 +1274,19 @@ def check_time_since_mutation(params: ModelParams, seed=27, n_networks=300, n=20
     n_cells = 0
     for k in (1, 2):
         sel = ks == k
-        p_k = float(sel.mean())
         if sel.sum() < 30:
             continue
+        p_k = limits.prob_N(params, zeta, k)
         ref = model.simulate_batch(params, k, n_mc, RngStream(seed, 5_000_000 + k))
         ref_t, ref_w = ref.T, zeta**ref.M
         for lo, hi in zip(edges[:-1], edges[1:]):
             emp = float(((ts >= lo) & (ts < hi) & sel).mean())
-            se_emp = math.sqrt(max(emp * (1 - emp), 1e-9) / len(ts))
             ind = ((ref_t >= lo) & (ref_t < hi)).astype(float)
             cond = float((ref_w * ind).sum() / ref_w.sum())
             resid = ref_w * (ind - cond)
             se_cond = math.sqrt(np.mean(resid**2) / n_mc) / ref_w.mean()
-            target = limits.prob_N(params, zeta, k) * cond
-            se = math.hypot(se_emp, p_k * se_cond)
+            target = p_k * cond
+            se = math.hypot(math.sqrt(target * (1.0 - target) / len(ts)), p_k * se_cond)
             if se > 0:
                 worst = max(worst, abs(emp - target) / se)
                 n_cells += 1

@@ -207,19 +207,14 @@ def test_criterion_09_crt_scale(crt_cc):
 
 def test_criterion_10_local_limit():
     tilt = analytics.zeta_tilt(P111)
-    # internal: N statistic of the local-ball sampler's focal decoration
+    # internal: N statistic of the focal decoration, the ball of radius 0, in one batch
     buf = BufferedRng(RngStream(SEED, 13))
     n_balls = 30_000
-    Ns = np.empty(n_balls, dtype=int)
-    Ws = np.empty(n_balls)
-    for i in range(n_balls):
-        ball = limits.sample_local_ball(P111, tilt.zeta, 0, buf)
-        Ns[i] = len(ball.focal.alive_at(0.0))
-        Ws[i] = ball.weight
+    Ns = np.array([len(net.alive_at(0.0)) for net in limits.focal_network_batch(P111, tilt.zeta, n_balls, buf)])
     tab = limits.prob_N_table(P111, tilt.zeta)
     kcap = 8
     probs = np.concatenate([tab[: kcap - 1], [1.0 - tab[: kcap - 1].sum()]])
-    internal = verify.weighted_vs_expected("ball_N_internal", Ns - 1, Ws, probs, alpha=0.01)
+    internal = verify.chi2_vs_expected("ball_N_internal", Ns - 1, probs, alpha=0.01)
     finite = verify.check_finite_n_local(
         P111, seed=SEED + 14, n=2000, n_networks=400, ball_samples=20_000
     )
@@ -228,7 +223,7 @@ def test_criterion_10_local_limit():
     report(
         10,
         ok,
-        f"ball-internal N: max z = {internal.statistic:.2f} (<= {internal.threshold:.2f}); "
+        f"ball-internal N: p = {internal.statistic:.4f} (>= {internal.threshold:.2f}); "
         f"finite-n (n=2000) N law p = {finite[0].statistic:.4f} (>=0.01), focal outdegree max z = "
         f"{finite[1].statistic:.2f} (<= {finite[1].threshold:.2f}); prob_N(zeta=1) == nu_circ exactly",
     )

@@ -221,6 +221,17 @@ class TestLocalBall:
         assert focal["role"] == "focal"
         assert focal["decoration"]["end_kind"].count("M") == focal["outdegree"]
 
+    def test_supercritical_ball_is_unweighted(self, tmp_path):
+        code, raw = run_to_file(
+            tmp_path,
+            "lb.json",
+            ["local-ball", "--alpha", "0.05", "--beta", "0.02", "--mu", "0.5", "--r", "2"],
+        )
+        assert code == 0
+        doc = json.loads(raw)
+        assert doc["schema_version"] == SCHEMA_VERSION == 3
+        assert "weight" not in doc["local_ball"] and "method" not in doc["config"]
+
 
 class TestVerifyCommand:
     def test_model_suite_passes(self, tmp_path):

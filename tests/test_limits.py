@@ -1,12 +1,15 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from phylonetsim import ModelParams, RngStream
 from phylonetsim.analytics import nu_circ_pmf, zeta_tilt
+from phylonetsim.errors import NumericalFailure
 from phylonetsim.limits import (
     crt_constants,
+    focal_network_batch,
     gw_size_probability,
     prob_N,
     prob_N_table,
@@ -14,10 +17,11 @@ from phylonetsim.limits import (
     sample_focal_network,
     sample_local_ball,
     sample_spinal_network,
+    spinal_network_batch,
     verify_crt_scaling,
 )
-from phylonetsim.model import TrajectoryStats, simulate_batch
-from phylonetsim.network import build_color_network, tilted_offspring_cached
+from phylonetsim.model import MUTATION, TrajectoryStats, simulate_batch, tilted_h_transform, tilted_paths
+from phylonetsim.network import ColorNetwork, build_color_network, tilted_offspring_cached
 from phylonetsim.rng import BufferedRng
 import phylonetsim.limits as limits
 import phylonetsim.verify as V
@@ -183,19 +187,19 @@ class TestFocalSpinal:
         for c in V.check_spinal_sampler(P111, seed=506, n=12_000):
             assert c.passed, (c.name, c.statistic, c.threshold)
 
-    def test_rejection_mode_weight_is_one(self):
-        # zeta < 1: exact rejection, unit weights
+    def test_supercritical_draws_are_unweighted(self):
+        # zeta < 1: one network per draw, no weight
         zeta = zeta_tilt(P222).zeta
         buf = BufferedRng(RngStream(507))
         for _ in range(50):
-            net, w = sample_focal_network(P222, zeta, buf)
-            assert w == 1.0
+            net = sample_focal_network(P222, zeta, buf)
+            assert isinstance(net, ColorNetwork)
             assert net.focal_point is not None and net.focal_point[1] == 0.0
 
     def test_focal_alive_count_is_K(self, pasted):
         buf = BufferedRng(RngStream(508))
         for _ in range(100):
-            net, _ = sample_focal_network(P111, 1.0, buf)
+            net = sample_focal_network(P111, 1.0, buf)
             traj, kept = pasted[-1]
             assert kept is net and len(net.alive_at(0.0)) == traj.pre_zero_state()
 
@@ -222,6 +226,46 @@ class TestFocalSpinal:
                 t_prev, s = t, s_after
             assert [t for _, t in net.mutation_points] == traj.mutation_times()
             assert net.total_length == pytest.approx(traj.L, rel=1e-12, abs=1e-12)
+
+
+class TestTiltedChain:
+    @pytest.mark.parametrize(
+        "params", [P111, ModelParams(2.0, 0.5, 0.1), ModelParams(0.05, 0.02, 0.5)]
+    )
+    def test_law_of_M_from_state_one(self, params):
+        # the zeta^M-tilted chain from state 1 against the exact tilted offspring law
+        tilt, probs = tilted_offspring_cached(params)
+        n = 20_000
+        paths = tilted_paths(params, tilt.zeta, np.ones(n, dtype=np.int64), RngStream(517).generator())
+        is_mut = np.frombuffer(paths.kinds.encode(), dtype=np.uint8) == ord(MUTATION)
+        M = np.add.reduceat(is_mut.astype(np.int64), paths.offsets[:-1])
+        c = V.chi2_vs_expected("tilted_chain_M_law", M, probs, alpha=0.01)
+        assert c.passed, (c.statistic, c.detail)
+
+    def test_supercritical_draws_take_seconds(self):
+        # rejection with acceptance zeta^M gave no focal draw in 60 s here
+        params = ModelParams(0.05, 0.02, 0.5)
+        zeta = zeta_tilt(params).zeta
+        t0 = time.perf_counter()
+        focal = focal_network_batch(params, zeta, 1000, RngStream(518))
+        spinal = spinal_network_batch(params, zeta, 1000, RngStream(519))
+        assert time.perf_counter() - t0 < 10.0
+        assert len(focal) == len(spinal) == 1000
+        assert all(net.focal_point[1] == 0.0 for net in focal + spinal)
+
+    def test_overflowing_tilt_is_a_typed_error(self):
+        # zeta = 18.4: zeta^r overflows within the tables' 256 columns
+        params = ModelParams(10.1, 0.0102, 0.99)
+        zeta = zeta_tilt(params).zeta
+        with pytest.raises(NumericalFailure, match="overflows"):
+            tilted_h_transform(params, zeta)
+        with pytest.raises(NumericalFailure):
+            sample_focal_network(params, zeta, RngStream(520))
+
+    def test_mass_beyond_the_tables_is_a_typed_error(self):
+        # zeta = 1 at a point with E[M] = 5130: P(M > 256) is far from 0
+        with pytest.raises(NumericalFailure, match="beyond m_max"):
+            sample_spinal_network(ModelParams(0.05, 0.02, 0.5), 1.0, RngStream(521))
 
 
 class TestLocalBall:

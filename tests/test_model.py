@@ -15,15 +15,13 @@ from phylonetsim import (
     condition_on_mutations,
     expected_M,
     g_eval,
-    paste_back_to_back,
     rho,
-    sample_nu_circ,
-    sample_x_mut,
     simulate_batch,
     simulate_trajectory,
 )
 from phylonetsim.errors import EventCapError, NumericalFailure, RetryBudgetError
-from phylonetsim.model import resample_negative_kinds, sample_conditioned_path
+from phylonetsim.model import sample_conditioned_path
+from phylonetsim.verify import paste_back_to_back, resample_negative_kinds, sample_nu_circ, sample_x_mut
 from phylonetsim.rng import BufferedRng
 import phylonetsim.model as model
 import phylonetsim.verify as V
