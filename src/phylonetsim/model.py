@@ -4,21 +4,22 @@ The lineage count of a color is a birth-death chain absorbed at 0: from
 state ``k`` it jumps to ``k+1`` at rate ``k`` and to ``k-1`` at rate
 ``k*rho_k``.  Down-jumps split into mutation / death / coalescence marks
 with probabilities ``mu/rho_k``, ``alpha/rho_k``, ``(k-1)*beta/rho_k``.
-The samplers:
 
-- ``simulate_trajectory`` draws one marked path;
-- ``simulate_batch`` draws only the summaries M, T, L and the sum of
-  mutation times of many runs at once, from one start state or one per
-  run, advancing all live runs one jump per NumPy step, for Monte Carlo
-  that reads nothing else;
-- ``conditioned_paths`` draws whole paths from the law given M = m, one m
-  per path, by the Doob h-transform of the chain on (state, mutations
-  still to come); ``condition_on_mutations`` is its rejection oracle;
-- ``tilted_paths`` draws whole paths of the zeta^M-tilted chain, the Doob
-  h-transform with h_k = E_k[zeta^M], for the local-limit samplers.
+Every path is drawn by one lockstep stepper, which advances every live
+path of a batch one event per NumPy step on one uniform each.  It runs one
+of three step tables, each of a Doob h-transform of the jump chain:
 
-The two h-transform samplers share one lockstep stepper, which advances
-every live path one event per NumPy step on one uniform each.
+- ``plain_paths``: the chain itself, h = 1, on the rate table
+  ``ModelTables.rates``; ``simulate_trajectory`` is its batch of one;
+- ``conditioned_paths``: the law given M = m, one m per path, on (state,
+  mutations still to come) with h(k, r) = P_k(M = r);
+  ``sample_conditioned_path`` is its batch of one;
+- ``tilted_paths``: the zeta^M-tilted chain, h_k = E_k[zeta^M], for the
+  local-limit samplers.
+
+``simulate_batch`` draws only the summaries M, T, L and the sum of
+mutation times of many runs, on its own loop over the same rate table, for
+Monte Carlo that reads nothing else.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EventCapError, NumericalFailure, RetryBudgetError
+from .errors import EventCapError, NumericalFailure
 from .params import ModelParams, tables
 from .rng import BufferedRng, RngStream
 
@@ -146,75 +147,6 @@ def _as_buffered(rng) -> BufferedRng:
     return rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
 
 
-def _simulate_embedded(params: ModelParams, x0: int, buf: BufferedRng, event_cap: int):
-    """Jump chain only: returns (kinds, states_after, n_mutations)."""
-    tab = tables(params)
-    up, mut, death = tab.up, tab.mut, tab.death
-    kinds = []
-    states = []
-    k = x0
-    append_k = kinds.append
-    append_s = states.append
-    uniform = buf.uniform
-    n_mut = 0
-    while k > 0:
-        if len(kinds) >= event_cap:
-            raise EventCapError(event_cap, k)
-        if k >= len(up):
-            tab.grow(2 * k)
-        u = uniform()
-        if u < up[k]:
-            k += 1
-            append_k(BIRTH)
-        elif u < mut[k]:
-            k -= 1
-            append_k(MUTATION)
-            n_mut += 1
-        elif u < death[k]:
-            k -= 1
-            append_k(DEATH)
-        else:
-            k -= 1
-            append_k(COALESCENCE)
-        append_s(k)
-    return kinds, states, n_mut
-
-
-def _attach_times(
-    params: ModelParams, x0: int, kinds: list, states: list, buf: BufferedRng, start_time: float
-) -> MarkedTrajectory:
-    """The marked trajectory of an embedded path, with its holding times drawn.
-
-    The holding times are drawn after the chain, in one block: they are
-    independent of the marks.
-    """
-    tab = tables(params)
-    if states:
-        tab.grow(max(x0, max(states)))
-    hold = tab.hold
-    times, t, k = [], start_time, x0
-    for e, s in zip(buf.generator().standard_exponential(len(states)).tolist(), states):
-        t += e * hold[k]
-        times.append(t)
-        k = s
-    return MarkedTrajectory(x0, list(zip(times, kinds, states)), start_time)
-
-
-def simulate_trajectory(
-    params: ModelParams,
-    x0: int,
-    rng,
-    event_cap: int = DEFAULT_EVENT_CAP,
-    start_time: float = 0.0,
-) -> MarkedTrajectory:
-    """Gillespie simulation from state x0 until absorption at 0."""
-    if x0 < 1:
-        raise ValueError(f"x0 must be >= 1, got {x0}")
-    buf = _as_buffered(rng)
-    kinds, states, _ = _simulate_embedded(params, x0, buf, event_cap)
-    return _attach_times(params, x0, kinds, states, buf, start_time)
-
-
 class TrajectoryStats(NamedTuple):
     """Per-run summaries of independent trajectories, one array entry per run."""
 
@@ -224,29 +156,20 @@ class TrajectoryStats(NamedTuple):
     S: np.ndarray  # sum of the mutation times
 
 
-def _batch_rates(params: ModelParams, size: int):
-    """Per-state arrays (P(birth), P(birth or mutation), mean holding time)
-    for states below size, taken from the scalar rate rows."""
-    tab = tables(params)
-    tab.grow(size - 1)
-    # state 0 is absorbing; its row, a copy of state 1's, is never read
-    return tuple(np.array(c[1:2] + c[1:size]) for c in (tab.up, tab.mut, tab.hold))
-
-
 def simulate_batch(params: ModelParams, x0, n: int, rng: RngStream) -> TrajectoryStats:
     """M, T, L and the sum of mutation times of n independent runs.
 
     ``x0`` is the start state of every run, or an integer array of the n
-    per-run start states; entry i of each result belongs to run i.  The same
-    embedded chain and holding times as :func:`simulate_trajectory`, advanced
-    for all live runs at once: each step draws one uniform and one
-    exponential per live run from ``rng.generator()``.  Death and coalescence
-    are not told apart, since none of the four statistics depends on which
-    one happened.  Runs go in blocks of ``BATCH_BLOCK``, in index order, so
+    per-run start states; entry i of each result belongs to run i.  The
+    chain of :func:`plain_paths`, on the same rate table, but with each
+    step drawing one uniform and one exponential per live run from
+    ``rng.generator()`` and keeping only the running sums.  Death and
+    coalescence are not told apart, since none of the four statistics
+    depends on which one happened.  Runs go in blocks of ``BATCH_BLOCK``, in index order, so
     the working set does not grow with n; finished runs are compacted out
     after each step.  A start state below 1 raises ValueError, and a run
     still alive after ``DEFAULT_EVENT_CAP`` events raises
-    :class:`EventCapError`, as in the scalar simulator.
+    :class:`EventCapError`, as on the lockstep stepper.
     """
     starts = np.asarray(x0)
     if not np.issubdtype(starts.dtype, np.integer):
@@ -256,8 +179,8 @@ def simulate_batch(params: ModelParams, x0, n: int, rng: RngStream) -> Trajector
     starts = np.broadcast_to(starts.astype(np.int64), (n,))
     gen = rng.generator()
     M, TLS = np.zeros(n, dtype=np.int64), np.zeros((3, n))
-    size = 2 * int(starts.max(initial=1)) + 64
-    p_up, p_mut, hold = _batch_rates(params, size)
+    tab = tables(params)
+    (p_up, p_mut, _), hold = tab.rates(2 * int(starts.max(initial=1)) + 64)
     for lo in range(0, n, BATCH_BLOCK):
         idx = np.arange(lo, min(n, lo + BATCH_BLOCK))
         k = starts[idx]
@@ -267,9 +190,8 @@ def simulate_batch(params: ModelParams, x0, n: int, rng: RngStream) -> Trajector
             if events >= DEFAULT_EVENT_CAP:
                 raise EventCapError(DEFAULT_EVENT_CAP, int(k[0]))
             top = int(k.max())
-            if top >= size:
-                size = 2 * top
-                p_up, p_mut, hold = _batch_rates(params, size)
+            if top >= hold.size:
+                (p_up, p_mut, _), hold = tab.rates(2 * top)
             u = gen.random(idx.size)
             dt = gen.standard_exponential(idx.size) * hold[k]
             up = u < p_up[k]
@@ -287,33 +209,6 @@ def simulate_batch(params: ModelParams, x0, n: int, rng: RngStream) -> Trajector
                 live = ~done
                 idx, k, acc = idx[live], k[live], acc[:, live]
     return TrajectoryStats(M, *TLS)
-
-
-def condition_on_mutations(
-    params: ModelParams,
-    m: int,
-    rng,
-    max_retries: int = 2_000_000,
-    event_cap: int = DEFAULT_EVENT_CAP,
-    x0: int = 1,
-) -> MarkedTrajectory:
-    """Exact rejection sampler for the trajectory law given M = m.
-
-    Only the jump chain is simulated during rejection; holding times are
-    attached to the accepted path (they are independent of the marks).
-    Kept as the test oracle of :func:`conditioned_paths`, which is the
-    sampler on the network path.
-    """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    buf = _as_buffered(rng)
-    for attempt in range(1, max_retries + 1):
-        kinds, states, n_mut = _simulate_embedded(params, x0, buf, event_cap)
-        if n_mut == m:
-            return _attach_times(params, x0, kinds, states, buf, 0.0)
-    raise RetryBudgetError(
-        f"condition_on_mutations(m={m}) exhausted retries", max_retries, 1.0 / max_retries
-    )
 
 
 class HTransform(NamedTuple):
@@ -365,12 +260,12 @@ def _kept_table(params: ModelParams, store: dict, key, top: int, build) -> HTran
         h, n_trunc, w = ht.h, ht.n_trunc, ht.h.shape[1]
         low = ht.cum[:, : (n_trunc + 1) * w]
     size = max(2 * top, n_trunc + 16)
-    p_up, _, hold = _batch_rates(params, size)
-    up = p_up[n_trunc + 1 :]
+    cum, hold = tables(params).rates(size - 1)
+    up = cum[0, n_trunc + 1 : size]
     k = np.arange(n_trunc + 1, size)
     death = up + (1.0 - up) * params.alpha / (params.alpha + (k - 1) * params.beta)
     above = np.repeat(np.stack([up, up, death]), w, axis=1)
-    ht = store[key] = HTransform(h, n_trunc, np.concatenate([low, above], axis=1), np.repeat(hold, w))
+    ht = store[key] = HTransform(h, n_trunc, np.concatenate([low, above], axis=1), np.repeat(hold[:size], w))
     return ht
 
 
@@ -442,38 +337,47 @@ class PathBatch(NamedTuple):
     times: np.ndarray
     offsets: np.ndarray
 
+    def trajectory(self, i: int) -> MarkedTrajectory:
+        """Path i as a MarkedTrajectory; a path without events starts in state 0."""
+        a, b = self.offsets[i], self.offsets[i + 1]
+        kinds, states = self.kinds[a:b], self.states[a:b].tolist()
+        x0 = states[0] + (-1 if kinds[0] == BIRTH else 1) if states else 0
+        return MarkedTrajectory(x0, list(zip(self.times[a:b].tolist(), kinds, states)))
+
 
 _KIND_LETTERS = np.frombuffer((BIRTH + MUTATION + DEATH + COALESCENCE).encode(), dtype=np.uint8)
+_STATE_STEP = np.array([1, -1, -1, -1])  # birth, mutation, death, coalescence
 
 
-def _lockstep(table, starts: np.ndarray, step: np.ndarray, gen: np.random.Generator, event_cap: int) -> PathBatch:
+def _lockstep(table, w: int, starts: np.ndarray, step: np.ndarray, gen: np.random.Generator) -> PathBatch:
     """Jump chains of an h-transform, one path per start index.
 
-    ``table(top)`` returns the :class:`HTransform` with step tables through
-    state top, ``starts`` holds each path's table index at time 0 and
-    ``step`` the index change of a birth, a mutation, a death and a
-    coalescence.  All live paths advance one event per NumPy step, on one
-    uniform each; a path ends in state 0, so one that starts there has no
-    events.  The holding times, independent of the marks, are drawn after
-    the chains as one exponential per event times the mean holding time of
-    its state.  A path alive after ``event_cap`` events raises
-    :class:`EventCapError`, one that passed a row of underflowed weights
-    NumericalFailure.
+    A path's index is k*w + r for state k and column r of the w columns of
+    its h-function.  ``table(top)`` returns the step tables (cum, hold) of
+    :class:`HTransform` through state top, ``starts`` holds each path's
+    index at time 0 and ``step`` the index change of a birth, a mutation, a
+    death and a coalescence.  All live paths advance one event per NumPy
+    step, on one uniform each; a path ends in state 0, so one that starts
+    there has no events.  The holding times, independent of the marks, are
+    drawn after the chains as one exponential per event times the mean
+    holding time of its state.  A path alive after ``DEFAULT_EVENT_CAP``
+    events raises :class:`EventCapError`, one that passed a row of
+    underflowed weights NumericalFailure.
     """
-    ht = table(0)
-    n, w = starts.size, ht.h.shape[1]
+    cum, hold = table(0)
+    n = starts.size
     cap = 4 * n + 64
     rec_col, rec_at, rec_kind = (np.empty(cap, dtype=np.int64) for _ in range(3))
     col = np.flatnonzero(starts >= w)
     at = starts[col]
     bounds = [0]
     while col.size:
-        if len(bounds) > event_cap:
-            raise EventCapError(event_cap, int(at[0]) // w)
-        if at.max() >= ht.hold.size:
-            ht = table(int(at.max()) // w)
+        if len(bounds) > DEFAULT_EVENT_CAP:
+            raise EventCapError(DEFAULT_EVENT_CAP, int(at[0]) // w)
+        if at.max() >= hold.size:
+            cum, hold = table(int(at.max()) // w)
         # 0 birth, 1 mutation, 2 death, 3 coalescence
-        kind = (gen.random(col.size) >= ht.cum[:, at]).sum(axis=0)
+        kind = (gen.random(col.size) >= cum[:, at]).sum(axis=0)
         pos, end = bounds[-1], bounds[-1] + col.size
         if end > cap:
             cap = 2 * end
@@ -485,10 +389,10 @@ def _lockstep(table, starts: np.ndarray, step: np.ndarray, gen: np.random.Genera
         if not live.all():
             col, at = col[live], at[live]
     pos = bounds[-1]
-    if np.isnan(ht.cum[0, rec_at[:pos]]).any():
+    if np.isnan(cum[0, rec_at[:pos]]).any():
         raise NumericalFailure("a path passed a state whose h-transform weights underflowed")
     # holding times, one exponential per event, summed along each path step by step
-    held = gen.standard_exponential(pos) * ht.hold[rec_at[:pos]]
+    held = gen.standard_exponential(pos) * hold[rec_at[:pos]]
     clock, rec_time = np.zeros(n), np.empty(pos)
     for a, b in zip(bounds, bounds[1:]):
         c = rec_col[a:b]
@@ -502,9 +406,35 @@ def _lockstep(table, starts: np.ndarray, step: np.ndarray, gen: np.random.Genera
     return PathBatch(_KIND_LETTERS[kind].tobytes().decode("ascii"), states, rec_time[order], offsets)
 
 
-def conditioned_paths(
-    params: ModelParams, ms, gen: np.random.Generator, m_max: int = 256, event_cap: int = DEFAULT_EVENT_CAP
-) -> PathBatch:
+def _start_states(starts) -> np.ndarray:
+    starts = np.asarray(starts, dtype=np.int64).reshape(-1)
+    if starts.size and starts.min() < 0:
+        raise ValueError(f"start states must be >= 0, got {starts.min()}")
+    return starts
+
+
+def plain_paths(params: ModelParams, starts, gen: np.random.Generator) -> PathBatch:
+    """Draws of the jump chain itself, one path per start state.
+
+    The chain of the rate table ``ModelTables.rates`` (h = 1) on the
+    lockstep stepper; a start state of 0 gives an empty path, one below 0
+    raises ValueError.
+    """
+    return _lockstep(tables(params).rates, 1, _start_states(starts), _STATE_STEP, gen)
+
+
+def simulate_trajectory(params: ModelParams, x0: int, rng) -> MarkedTrajectory:
+    """One marked path from state x0 until absorption at 0.
+
+    The batch of one of :func:`plain_paths`, drawn from the numpy generator
+    of the stream's buffer.
+    """
+    if x0 < 1:
+        raise ValueError(f"x0 must be >= 1, got {x0}")
+    return plain_paths(params, [x0], _as_buffered(rng).generator()).trajectory(0)
+
+
+def conditioned_paths(params: ModelParams, ms, gen: np.random.Generator, m_max: int = 256) -> PathBatch:
     """Exact draws from the trajectory law given M = m, one path per entry of ms.
 
     Each path runs the chain of :func:`h_transform` on (state k, mutations
@@ -524,7 +454,7 @@ def conditioned_paths(
         )
     w = m_max + 1
     step = np.array([w, -w - 1, -w, -w])
-    return _lockstep(lambda top: h_transform(params, m_max, top), w + ms, step, gen, event_cap)
+    return _lockstep(lambda top: h_transform(params, m_max, top)[2:], w, w + ms, step, gen)
 
 
 def tilted_paths(params: ModelParams, zeta: float, starts, gen: np.random.Generator, m_max: int = 256) -> PathBatch:
@@ -533,22 +463,15 @@ def tilted_paths(params: ModelParams, zeta: float, starts, gen: np.random.Genera
     The chain of :func:`tilted_h_transform` on the lockstep stepper; a
     start state of 0 gives an empty path, one below 0 raises ValueError.
     """
-    starts = np.asarray(starts, dtype=np.int64).reshape(-1)
-    if starts.size and starts.min() < 0:
-        raise ValueError(f"start states must be >= 0, got {starts.min()}")
-    step = np.array([1, -1, -1, -1])
-    return _lockstep(lambda top: tilted_h_transform(params, zeta, m_max, top), starts, step, gen, DEFAULT_EVENT_CAP)
+    table = lambda top: tilted_h_transform(params, zeta, m_max, top)[2:]
+    return _lockstep(table, 1, _start_states(starts), _STATE_STEP, gen)
 
 
-def sample_conditioned_path(
-    params: ModelParams, m: int, rng, m_max: int = 256, event_cap: int = DEFAULT_EVENT_CAP
-) -> MarkedTrajectory:
+def sample_conditioned_path(params: ModelParams, m: int, rng, m_max: int = 256) -> MarkedTrajectory:
     """Exact draw from the trajectory law given M = m, without rejection.
 
     The batch of one of :func:`conditioned_paths`, drawn from the numpy
     generator of the stream's buffer.  Exact for the state-truncated model
     of the offspring tables (truncation defect below 1e-14).
     """
-    buf = _as_buffered(rng)
-    p = conditioned_paths(params, [m], buf.generator(), m_max, event_cap)
-    return MarkedTrajectory(1, list(zip(p.times.tolist(), p.kinds, p.states.tolist())), 0.0)
+    return conditioned_paths(params, [m], _as_buffered(rng).generator(), m_max).trajectory(0)

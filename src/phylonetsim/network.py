@@ -309,9 +309,10 @@ def _rotate_to_valid(degs: np.ndarray) -> np.ndarray:
     return np.concatenate([degs[r:], degs[:r]])
 
 
-def sample_genealogy_tree(
-    tilted_probs: np.ndarray, n: int, rng: RngStream, max_retries: int = 1_000_000
-) -> GenealogyTree:
+TREE_RETRIES = 1_000_000  # multinomial draws before sample_genealogy_tree gives up
+
+
+def sample_genealogy_tree(tilted_probs: np.ndarray, n: int, rng: RngStream) -> GenealogyTree:
     """Galton-Watson tree with the critically tilted offspring law, given n vertices.
 
     The law of n i.i.d. outdegrees given that they sum to n - 1 depends on
@@ -319,18 +320,19 @@ def sample_genealogy_tree(
     the counts every order is equally likely.  So the counts are drawn as a
     multinomial until sum k N_k = n - 1, laid out in a uniform order, and
     the sequence is rotated into the unique valid preorder encoding (cycle
-    lemma).
+    lemma).  After ``TREE_RETRIES`` draws without that sum it raises
+    RetryBudgetError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    support = np.arange(len(tilted_probs))
-    for attempt in range(1, max_retries + 1):
+    support, retries = np.arange(len(tilted_probs)), TREE_RETRIES
+    for attempt in range(1, retries + 1):
         counts = gen.multinomial(n, tilted_probs)
         if int(support @ counts) == n - 1:
             degs = gen.permutation(np.repeat(support, counts))
             return GenealogyTree.from_preorder_outdegrees(_rotate_to_valid(degs).tolist())
-    raise RetryBudgetError("cycle sampler exhausted retries", max_retries, 1.0 / max_retries)
+    raise RetryBudgetError("cycle sampler exhausted retries", retries, 1.0 / retries)
 
 
 @dataclass(frozen=True)

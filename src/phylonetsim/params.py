@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -37,13 +39,15 @@ def rho(params: ModelParams, k: int) -> float:
 
 
 class ModelTables:
-    """The per-parameter tables, as Python float lists.
+    """The per-parameter tables.
 
-    Rate rows by state k, grown on demand by :meth:`grow`: ``up[k]``,
-    ``mut[k]`` and ``death[k]`` are the cumulative probabilities of a birth,
-    a mutation and a death within one uniform draw, and ``hold[k]`` =
-    1/(k (1 + rho_k)) is the mean holding time.  Row 0 (the absorbing
-    state) is never read.  The other slots are filled by their owners:
+    ``cum`` and ``hold`` are the step table of the chain itself, NumPy
+    arrays indexed by state k and grown on demand by :meth:`rates`:
+    ``cum[:, k]`` holds the cumulative probabilities of a birth, a mutation
+    and a death within one uniform draw, 1/(1 + rho_k), (1 + mu)/(1 + rho_k)
+    and (1 + mu + alpha)/(1 + rho_k), and ``hold[k]`` = 1/(k (1 + rho_k)) is
+    the mean holding time.  Column 0 (the absorbing state) is NaN and never
+    read.  The other slots are filled by their owners:
 
     - ``offspring`` maps (m_max, tol) to ``analytics.offspring_tables``;
     - ``h`` maps m_max to the ``model.h_transform`` that decorations step by;
@@ -56,22 +60,23 @@ class ModelTables:
     A typed error is raised again on every call, never kept.
     """
 
-    __slots__ = ("params", "up", "mut", "death", "hold", "offspring", "h", "h_zeta", "tilt", "memo")
+    __slots__ = ("params", "cum", "hold", "offspring", "h", "h_zeta", "tilt", "memo")
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self.up, self.mut, self.death, self.hold = [0.0], [0.0], [0.0], [0.0]
+        self.cum, self.hold = np.empty((3, 0)), np.empty(0)
         self.offspring, self.h, self.h_zeta, self.tilt, self.memo = {}, {}, {}, None, {}
 
-    def grow(self, k: int) -> None:
-        """Extend the rate rows through state k."""
-        p = self.params
-        for j in range(len(self.up), k + 1):
-            tot = 1.0 + p.rho(j)
-            self.up.append(1.0 / tot)
-            self.mut.append((1.0 + p.mu) / tot)
-            self.death.append((1.0 + p.mu + p.alpha) / tot)
-            self.hold.append(1.0 / (j * tot))
+    def rates(self, top: int) -> tuple:
+        """The step table (cum, hold), through state top at least."""
+        if self.hold.size <= top:
+            p = self.params
+            k = np.arange(1.0, 2 * top + 64)
+            tot = 1.0 + (p.alpha + p.mu + (k - 1.0) * p.beta)
+            cum = np.stack([1.0 / tot, (1.0 + p.mu) / tot, (1.0 + p.mu + p.alpha) / tot])
+            self.cum = np.concatenate([np.full((3, 1), np.nan), cum], axis=1)
+            self.hold = np.concatenate([[np.nan], 1.0 / (k * tot)])
+        return self.cum, self.hold
 
 
 TABLES_CAP = 32  # parameter sets kept; the oldest is dropped first

@@ -55,7 +55,3 @@ class BufferedRng:
         """The generator behind the buffer, for draws of whole arrays.  It also
         refills the buffer, so twin buffers making the same calls draw alike."""
         return self._gen
-
-    def choice_index(self, cdf: np.ndarray) -> int:
-        """Index drawn from the discrete law with cumulative weights cdf."""
-        return int(np.searchsorted(cdf, self.uniform() * cdf[-1], side="right"))

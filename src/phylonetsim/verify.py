@@ -5,13 +5,16 @@ and its threshold; suites bundle them for the CLI ``verify`` command and
 for the acceptance tests.  Monte Carlo comparisons use 3-standard-error
 bands; distributional comparisons use chi-square / Kolmogorov-Smirnov at
 significance 0.01 (Bonferroni over categories for weighted laws).
-Reference samples that need only M, T, L or the mutation-time sum of raw
-runs come from the batched ``model.simulate_batch``, and M-biased paths
-from the batched ``model.conditioned_paths``; other checks that read the
-events of a path draw it with ``model.simulate_trajectory``.  Local-limit
-checks draw their focal and spinal networks in one batch each.  The direct
-network sampler, which grows color trees from raw runs until one has n
-colors, lives here as the oracle of ``network.sample_network``.
+Every path is drawn in batches.  Reference samples that need only M, T,
+L or the mutation-time sum of raw runs come from ``model.simulate_batch``;
+checks that read the events of raw runs take them from
+``model.plain_paths`` batches as event arrays (:func:`raw_runs`,
+:func:`path_events`); M-biased paths come from ``model.conditioned_paths``.
+Local-limit checks draw their focal and spinal networks in one batch
+each.  The oracles live here: the pasting of two raw runs
+(:func:`sample_x_mut`) for the M-biased view and the spinal network, and
+the direct network sampler, which grows color trees from raw runs until
+one has n colors, for ``network.sample_network``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats
@@ -163,33 +167,69 @@ def sample_m_biased_view(params: ModelParams, rng: RngStream, n_samples: int, m_
     return paths.states[pick] + 1, paths.times[pick], M, paths.times[paths.offsets[1:] - 1]
 
 
+RUN_BLOCK = 8192  # raw runs per model.plain_paths batch in raw_runs
+
+_KIND_INDEX = np.zeros(128, dtype=np.int64)
+_KIND_INDEX[np.frombuffer(b"BMDC", dtype=np.uint8)] = np.arange(4)
+
+
+class PathEvents(NamedTuple):
+    """The events of a ``model.PathBatch`` whose paths start at 1 or above, one entry per event."""
+
+    path: np.ndarray  # index of its path
+    kind: np.ndarray  # 0 birth, 1 mutation, 2 death, 3 coalescence
+    before: np.ndarray  # state before it
+    t: np.ndarray  # its time
+    t_prev: np.ndarray  # time of the event before it on its path, 0 for the first
+
+
+def path_events(batch: model.PathBatch) -> PathEvents:
+    kind = _KIND_INDEX[np.frombuffer(batch.kinds.encode(), dtype=np.uint8)]
+    t_prev = np.concatenate([[0.0], batch.times[:-1]])
+    t_prev[batch.offsets[:-1]] = 0.0
+    before = batch.states + np.where(kind == 0, -1, 1)
+    path = np.repeat(np.arange(batch.offsets.size - 1), np.diff(batch.offsets))
+    return PathEvents(path, kind, before, batch.times, t_prev)
+
+
+def path_summaries(batch: model.PathBatch) -> model.TrajectoryStats:
+    """M, T, L and the sum of mutation times of each path of a batch whose paths start at 1 or above."""
+    ev, n = path_events(batch), batch.offsets.size - 1
+    mut = ev.kind == 1
+    return model.TrajectoryStats(
+        np.bincount(ev.path, mut, minlength=n).astype(np.int64),
+        batch.times[batch.offsets[1:] - 1],
+        np.bincount(ev.path, ev.before * (ev.t - ev.t_prev), minlength=n),
+        np.bincount(ev.path, ev.t * mut, minlength=n),
+    )
+
+
+def raw_runs(params: ModelParams, n: int, gen: np.random.Generator):
+    """n raw runs from state 1, yielded as ``model.plain_paths`` batches of
+    at most RUN_BLOCK paths drawn one after another from gen."""
+    for lo in range(0, n, RUN_BLOCK):
+        yield model.plain_paths(params, np.ones(min(RUN_BLOCK, n - lo), dtype=np.int64), gen)
+
+
 def check_trajectory_wellformed(param_sets, seed=1, n_paths=10_000) -> Check:
     bad = 0
     for j, params in enumerate(param_sets):
-        buf = BufferedRng(RngStream(seed, j))
-        for _ in range(n_paths // len(param_sets)):
-            tr = model.simulate_trajectory(params, 1, buf)
-            try:
-                tr.validate()
-            except ValueError:
-                bad += 1
+        for batch in raw_runs(params, n_paths // len(param_sets), RngStream(seed, j).generator()):
+            for i in range(batch.offsets.size - 1):
+                try:
+                    batch.trajectory(i).validate()
+                except ValueError:
+                    bad += 1
     return Check("trajectory_wellformed", bad == 0, float(bad), 0.0)
 
 
 def check_first_event_law(params: ModelParams, seed=2, n=40_000) -> list:
-    buf = BufferedRng(RngStream(seed))
-    first_birth = 0
-    down_total = 0
-    down_mut = 0
-    for _ in range(n):
-        tr = model.simulate_trajectory(params, 1, buf)
-        kind = tr.events[0][1]
-        if kind == model.BIRTH:
-            first_birth += 1
-        else:
-            down_total += 1
-            if kind == model.MUTATION:
-                down_mut += 1
+    first = np.concatenate(
+        [path_events(b).kind[b.offsets[:-1]] for b in raw_runs(params, n, RngStream(seed).generator())]
+    )
+    first_birth = int((first == 0).sum())
+    down_total = n - first_birth
+    down_mut = int((first == 1).sum())
     rho1 = params.rho(1)
     p_birth = 1.0 / (1.0 + rho1)
     se_b = math.sqrt(p_birth * (1 - p_birth) / n)
@@ -202,16 +242,11 @@ def check_first_event_law(params: ModelParams, seed=2, n=40_000) -> list:
 
 def check_rate_consistency(params: ModelParams, seed=3, n=60_000, alpha=0.01, max_state=4) -> list:
     """Per-state event-kind frequencies against the transition-rate split."""
-    buf = BufferedRng(RngStream(seed))
-    counts = {k: np.zeros(4) for k in range(1, max_state + 1)}
-    kinds_ix = {model.BIRTH: 0, model.MUTATION: 1, model.DEATH: 2, model.COALESCENCE: 3}
-    for _ in range(n):
-        tr = model.simulate_trajectory(params, 1, buf)
-        s = 1
-        for t, kind, s_after in tr.events:
-            if s <= max_state:
-                counts[s][kinds_ix[kind]] += 1
-            s = s_after
+    counts = np.zeros((max_state + 1, 4))
+    for batch in raw_runs(params, n, RngStream(seed).generator()):
+        ev = path_events(batch)
+        low = ev.before <= max_state
+        counts += np.bincount(4 * ev.before[low] + ev.kind[low], minlength=counts.size).reshape(counts.shape)
     checks = []
     for k in range(1, max_state + 1):
         rho = params.rho(k)
@@ -260,22 +295,16 @@ def check_measure_change(params: ModelParams, seed=5, n=100_000, s_values=(0.5, 
 def check_intensity_identity(params: ModelParams, seed=6, n=60_000) -> list:
     """E[#(M cap [0,a])] = mu E[int_0^a X_t dt]: the per-path compensator
     difference has mean zero exactly, tested at three horizons."""
-    buf = BufferedRng(RngStream(seed))
-    trajs = [model.simulate_trajectory(params, 1, buf) for _ in range(n)]
-    t_typ = float(np.median([tr.T for tr in trajs]))
+    batches = list(raw_runs(params, n, RngStream(seed).generator()))
+    t_typ = float(np.median(np.concatenate([b.times[b.offsets[1:] - 1] for b in batches])))
+    events = [(path_events(b), b.offsets.size - 1) for b in batches]
     checks = []
     for a in (0.5 * t_typ, t_typ, 4.0 * t_typ):
-        diffs = np.empty(n)
-        for i, tr in enumerate(trajs):
-            area = 0.0
-            t_prev, s = 0.0, tr.initial_state
-            muts = 0
-            for t, kind, s_after in tr.events:
-                area += s * (min(t, a) - min(t_prev, a))
-                if kind == model.MUTATION and t <= a:
-                    muts += 1
-                t_prev, s = t, s_after
-            diffs[i] = params.mu * area - muts
+        diffs = []
+        for ev, size in events:
+            area = np.bincount(ev.path, ev.before * (np.minimum(ev.t, a) - np.minimum(ev.t_prev, a)), minlength=size)
+            diffs.append(params.mu * area - np.bincount(ev.path, (ev.kind == 1) & (ev.t <= a), minlength=size))
+        diffs = np.concatenate(diffs)
         checks.append(
             _three_se(
                 f"intensity_identity_a={a:.3g}",
@@ -355,49 +384,42 @@ def resample_negative_kinds(traj: model.MarkedTrajectory, params: ModelParams, r
     return model.MarkedTrajectory(traj.initial_state, events, traj.start_time)
 
 
-def sample_nu_circ(params: ModelParams, rng, tol: float = 1e-12) -> int:
-    """State seen just before a uniform mutation: P(K=n) proportional to prod 1/rho_k."""
-    pmf = analytics.nu_circ_pmf(params, tol)
-    buf = rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
-    cdf = np.cumsum(pmf.probs)
-    return 1 + buf.choice_index(cdf)
+def sample_nu_circ(params: ModelParams, n: int, gen: np.random.Generator) -> np.ndarray:
+    """n states seen just before a uniform mutation: P(K=k) proportional to prod_{j<=k} 1/rho_j."""
+    cdf = np.cumsum(analytics.nu_circ_pmf(params).probs)
+    return 1 + np.searchsorted(cdf, gen.random(n) * cdf[-1], side="right")
 
 
-def sample_x_mut(params: ModelParams, rng, tol: float = 1e-12) -> model.MarkedTrajectory:
-    """Trajectory viewed from a uniformly chosen mutation time, biased by M.
+def sample_x_mut(params: ModelParams, n: int, rng) -> list:
+    """n trajectories viewed from a uniformly chosen mutation time, biased by M.
 
     Draws K ~ nu_circ, pastes an independent run from K (time-reversed, on
     t<0) to a run from K-1 (on t>=0); the joining down-jump at time 0 is the
     distinguished mutation.  Kinds on the reversed section are redrawn from
     the categorical mark law, which is the conditional law of the remaining
-    marks given the distinguished one.  The oracle of the M-biased view and,
-    at zeta = 1, of the spinal network.
+    marks given the distinguished one.  All n K and 2n runs come from one
+    ``model.plain_paths`` batch.  The oracle of the M-biased view and, at
+    zeta = 1, of the spinal network.
     """
     buf = rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
-    K = sample_nu_circ(params, buf, tol)
-    x_left = model.simulate_trajectory(params, K, buf)
-    if K > 1:
-        x_right = model.simulate_trajectory(params, K - 1, buf)
-    else:
-        x_right = model.MarkedTrajectory(0, [], 0.0)
-    pasted = paste_back_to_back(x_left, x_right, zero_kind=model.MUTATION)
-    return resample_negative_kinds(pasted, params, buf)
+    K = sample_nu_circ(params, n, buf.generator())
+    runs = model.plain_paths(params, np.concatenate([K, K - 1]), buf.generator())
+    return [
+        resample_negative_kinds(
+            paste_back_to_back(runs.trajectory(i), runs.trajectory(n + i), zero_kind=model.MUTATION), params, buf
+        )
+        for i in range(n)
+    ]
 
 
 def check_x_mut_equivalence(params: ModelParams, seed=7, n=20_000, alpha=0.01) -> list:
     """sample_x_mut against independent M-biased views: K, M and duration laws."""
     K_ref, U_ref, M_ref, D_ref = sample_m_biased_view(params, RngStream(seed, 0), n)
-    buf = BufferedRng(RngStream(seed, 1))
-    K_s = np.empty(n, dtype=int)
-    M_s = np.empty(n, dtype=int)
-    D_s = np.empty(n)
-    U_s = np.empty(n)
-    for i in range(n):
-        tr = sample_x_mut(params, buf)
-        K_s[i] = tr.pre_zero_state()
-        M_s[i] = tr.M
-        D_s[i] = tr.T
-        U_s[i] = -tr.start_time
+    trs = sample_x_mut(params, n, RngStream(seed, 1))
+    K_s = np.array([tr.pre_zero_state() for tr in trs])
+    M_s = np.array([tr.M for tr in trs])
+    D_s = np.array([tr.T for tr in trs])
+    U_s = np.array([-tr.start_time for tr in trs])
     checks = [
         chi2_two_sample("x_mut_K_law", K_ref, K_s, alpha),
         chi2_two_sample("x_mut_M_law", M_ref, M_s, alpha),
@@ -410,8 +432,7 @@ def check_x_mut_equivalence(params: ModelParams, seed=7, n=20_000, alpha=0.01) -
 
 
 def check_nu_circ_sampler(params: ModelParams, seed=8, n=50_000) -> list:
-    buf = BufferedRng(RngStream(seed))
-    draws = np.array([sample_nu_circ(params, buf) for _ in range(n)])
+    draws = sample_nu_circ(params, n, RngStream(seed).generator())
     pmf = analytics.nu_circ_pmf(params)
     k = min(pmf.probs.size, 12)
     probs = np.concatenate([pmf.probs[: k - 1], [1.0 - pmf.probs[: k - 1].sum()]])
@@ -601,19 +622,15 @@ def check_laplace_monotone(params: ModelParams, k=2) -> Check:
 def check_malthusian_mc(params: ModelParams, seed=10, n=100_000) -> Check:
     """mu E[int X_t e^{-lam t} dt] = 1 at the computed growth rate."""
     lam = analytics.malthusian(params, tol=1e-10)
-    buf = BufferedRng(RngStream(seed))
-    vals = np.empty(n)
-    for i in range(n):
-        tr = model.simulate_trajectory(params, 1, buf)
-        acc = 0.0
-        t_prev, s = 0.0, tr.initial_state
-        for t, kind, s_after in tr.events:
-            if lam != 0.0:
-                acc += s * (math.exp(-lam * t_prev) - math.exp(-lam * t)) / lam
-            else:
-                acc += s * (t - t_prev)
-            t_prev, s = t, s_after
-        vals[i] = params.mu * acc
+    vals = []
+    for batch in raw_runs(params, n, RngStream(seed).generator()):
+        ev = path_events(batch)
+        if lam != 0.0:
+            area = ev.before * (np.exp(-lam * ev.t_prev) - np.exp(-lam * ev.t)) / lam
+        else:
+            area = ev.before * (ev.t - ev.t_prev)
+        vals.append(params.mu * np.bincount(ev.path, area, minlength=batch.offsets.size - 1))
+    vals = np.concatenate(vals)
     return _three_se(
         "malthusian_mc_identity",
         float(vals.mean()),
@@ -779,29 +796,32 @@ def check_genealogy_methods(params: ModelParams, seed=15, n=6, n_samples=20_000,
     return [chi2_two_sample("genealogy_cycle_vs_rejection", a, b, alpha)]
 
 
-def _direct_network(params: ModelParams, n: int, rng: RngStream, max_retries: int = 200_000):
+def _direct_network(params: ModelParams, n: int, rng: RngStream):
     """Oracle for `network.sample_network`: grow color trees from raw runs, keep
-    the first with exactly n colors.  Exponentially slow off criticality."""
+    the first with exactly n colors.  The runs are drawn in ``model.plain_paths``
+    batches of 16 n and read in order.  Exponentially slow off criticality."""
     buf = BufferedRng(rng)
+
+    def runs():
+        while True:
+            batch = model.plain_paths(params, np.ones(16 * n, dtype=np.int64), buf.generator())
+            is_mut = np.frombuffer(batch.kinds.encode(), dtype=np.uint8) == ord(model.MUTATION)
+            for i, m in enumerate(np.add.reduceat(is_mut, batch.offsets[:-1]).tolist()):
+                yield batch, i, m
+
+    source, max_retries = runs(), 200_000
     for _ in range(max_retries):
-        # grow the color tree depth-first from the root color
-        trajs = []
-        children = []
-        stack = [-1]
-        while stack and len(trajs) < n:
-            parent = stack.pop()
-            traj = model.simulate_trajectory(params, 1, buf)
-            vid = len(trajs)
-            trajs.append(traj)
-            children.append([])
-            if parent >= 0:
-                children[parent].append(vid)
-            # push one marker per mutation; LIFO makes ids preorder
-            stack.extend([vid] * traj.M)
-        if stack or len(trajs) != n:
+        # grow the color tree depth-first from the root color; preorder reads runs in order
+        kept, open_slots = [], 1
+        while open_slots and len(kept) < n:
+            kept.append(next(source))
+            open_slots += kept[-1][2] - 1
+        if open_slots or len(kept) != n:
             continue
-        tree = network.GenealogyTree.from_preorder_outdegrees([len(c) for c in children])
-        return network.GluedNetwork(tree, [network.build_color_network(params, t, buf) for t in trajs])
+        tree = network.GenealogyTree.from_preorder_outdegrees([m for _, _, m in kept])
+        return network.GluedNetwork(
+            tree, [network.build_color_network(params, batch.trajectory(i), buf) for batch, i, _ in kept]
+        )
     raise RetryBudgetError(f"direct sampler missed n={n} colors", max_retries, 1.0 / max_retries)
 
 
@@ -1180,8 +1200,7 @@ def check_spinal_sampler(params: ModelParams, seed=24, n=30_000, alpha=0.01) -> 
     # at zeta = 1 the pre-0 state law is exactly the one of sample_x_mut
     nets = limits.spinal_network_batch(params, 1.0, 8000, BufferedRng(RngStream(seed, 2)))
     k_spinal = np.array([net.trajectory.pre_zero_state() for net in nets])
-    buf4 = BufferedRng(RngStream(seed, 3))
-    k_xmut = np.array([sample_x_mut(params, buf4).pre_zero_state() for _ in range(8000)])
+    k_xmut = np.array([tr.pre_zero_state() for tr in sample_x_mut(params, 8000, RngStream(seed, 3))])
     c2 = chi2_two_sample("spinal_K_matches_x_mut_at_zeta1", k_spinal, k_xmut, alpha)
     return [c0, c1, c2]
 
@@ -1234,15 +1253,7 @@ def check_finite_n_local(
     nets = limits.focal_network_batch(params, zeta, ball_samples, BufferedRng(RngStream(seed, 10_000_000)))
     Md = np.array([len(net.mutation_points) for net in nets])
     mcap = 8
-    c2 = weighted_two_sample(
-        "finite_n_focal_outdegree",
-        np.minimum(out_deg, mcap - 1),
-        np.ones(n_networks),
-        np.minimum(Md, mcap - 1),
-        np.ones(ball_samples),
-        alpha,
-        n_cats=mcap,
-    )
+    c2 = chi2_two_sample("finite_n_focal_outdegree", out_deg, Md, alpha, cap=mcap)
     return [c1, c2]
 
 

@@ -23,7 +23,6 @@ from phylonetsim import (
     offspring_pmf,
     pgf_from_state,
     simple_pext_bounds,
-    simulate_trajectory,
     zeta_tilt,
 )
 from phylonetsim import analytics
@@ -31,11 +30,15 @@ from phylonetsim import params as params_mod
 from phylonetsim.analytics import critical_mu, gap_majorant, offspring_tables, tilted_offspring
 from phylonetsim.errors import DivergentTailError, NumericalFailure, PoleError
 from phylonetsim.cli import main
-from phylonetsim.rng import BufferedRng
 import phylonetsim.verify as V
 
 P111 = ModelParams(1.0, 1.0, 1.0)
 P222 = ModelParams(0.2, 0.2, 0.2)
+
+
+def raw_M(params, n, rng):
+    """M of n raw runs from state 1, drawn in plain_paths batches from one stream."""
+    return np.concatenate([V.path_summaries(b).M for b in V.raw_runs(params, n, rng.generator())])
 
 
 def brute_series(params: ModelParams, n_terms: int = 400) -> float:
@@ -124,9 +127,8 @@ class TestGEval:
                 assert 0.0 <= cv.lower <= cv.upper <= 1.0
 
     def test_monte_carlo_oracle_at_zero(self):
-        buf = BufferedRng(RngStream(300))
         n = 50_000
-        hits = sum(simulate_trajectory(P111, 1, buf).M == 0 for _ in range(n))
+        hits = (raw_M(P111, n, RngStream(300)) == 0).sum()
         g0 = g_eval(P111, 0.0).midpoint
         assert abs(hits / n - g0) <= 3.0 * math.sqrt(g0 * (1 - g0) / n)
 
@@ -158,13 +160,9 @@ class TestDerivatives:
             assert d.lower - 1e-12 <= em <= d.upper + 1e-12
 
     def test_second_matches_mc(self):
-        buf = BufferedRng(RngStream(301))
         n = 60_000
-        vals = np.fromiter(
-            ((lambda m: m * (m - 1))(simulate_trajectory(P111, 1, buf).M) for _ in range(n)),
-            float,
-            n,
-        )
+        m = raw_M(P111, n, RngStream(301))
+        vals = m * (m - 1.0)
         d2 = g_derivatives(P111, 1.0, 2, tol=1e-9).midpoint
         assert abs(vals.mean() - d2) <= 3.0 * vals.std() / math.sqrt(n)
 
@@ -218,9 +216,8 @@ class TestOffspringPmf:
         assert pmf.mean() == pytest.approx(math.e - 2.0, abs=1e-8)
 
     def test_empirical_chi2_at_1e6(self):
-        buf = BufferedRng(RngStream(302))
         n = 1_000_000
-        ms = np.fromiter((simulate_trajectory(P111, 1, buf).M for _ in range(n)), int, n)
+        ms = raw_M(P111, n, RngStream(302))
         pmf = offspring_pmf(P111, 24, tol=1e-13)
         c = V.chi2_vs_expected("pmf_chi2", ms, pmf.probs, alpha=0.01)
         assert c.passed, c.detail

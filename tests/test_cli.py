@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -244,6 +245,19 @@ class TestVerifyCommand:
         doc = json.loads(raw)
         assert doc["passed"] is True
         assert all(set(c) >= {"name", "passed", "statistic", "threshold"} for c in doc["checks"])
+
+    def test_local_suite_at_fifty_networks(self, tmp_path):
+        # 50 finite-n networks against 20 000 limit draws: the outdegree
+        # comparison must get a finite statistic from the two samples
+        code, raw = run_to_file(
+            tmp_path,
+            "local.json",
+            ["verify", "--suite", "local", "--scale", "0.1", "--n", "200", "--replicates", "50", "--seed", "42"],
+        )
+        checks = {c["name"]: c for c in json.loads(raw)["checks"]}
+        outdegree = checks["finite_n_focal_outdegree"]
+        assert math.isfinite(outdegree["statistic"]) and outdegree["passed"], outdegree
+        assert code == 0
 
     def test_worker_count_invariance(self, tmp_path):
         base = [

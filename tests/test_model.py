@@ -12,22 +12,43 @@ from phylonetsim import (
     MarkedTrajectory,
     ModelParams,
     RngStream,
-    condition_on_mutations,
     expected_M,
     g_eval,
     rho,
     simulate_batch,
     simulate_trajectory,
 )
-from phylonetsim.errors import EventCapError, NumericalFailure, RetryBudgetError
-from phylonetsim.model import sample_conditioned_path
+from phylonetsim.errors import EventCapError, NumericalFailure
+from phylonetsim.model import plain_paths, sample_conditioned_path
+from phylonetsim.params import tables
 from phylonetsim.verify import paste_back_to_back, resample_negative_kinds, sample_nu_circ, sample_x_mut
-from phylonetsim.rng import BufferedRng
 import phylonetsim.model as model
 import phylonetsim.verify as V
 
 P111 = ModelParams(1.0, 1.0, 1.0)
 P222 = ModelParams(0.2, 0.2, 0.2)
+
+
+def raw_M(params, n, rng):
+    """M of n raw runs from state 1, drawn in plain_paths batches from one stream."""
+    return np.concatenate([V.path_summaries(b).M for b in V.raw_runs(params, n, rng.generator())])
+
+
+def first_kinds(params, n, rng):
+    """The kind letter of the first event of n raw runs from state 1, in one batch."""
+    batch = plain_paths(params, np.ones(n, dtype=np.int64), rng.generator())
+    return np.frombuffer(batch.kinds.encode(), dtype="S1")[batch.offsets[:-1]]
+
+
+def rejection_paths(params, m, n, rng):
+    """n draws from the trajectory law given M = m by rejection: the first n
+    raw runs from state 1 with M = m, read in order from plain_paths batches."""
+    gen, out = rng.generator(), []
+    while len(out) < n:
+        batch = plain_paths(params, np.ones(V.RUN_BLOCK, dtype=np.int64), gen)
+        hits = np.flatnonzero(V.path_summaries(batch).M == m)[: n - len(out)]
+        out += [batch.trajectory(i) for i in hits]
+    return out
 
 
 class TestRho:
@@ -72,44 +93,49 @@ class TestRngStream:
 
 class TestSimulate:
     def test_wellformed_many_paths(self):
+        # every path of a batch, from mixed start states
+        starts = np.tile([1, 2, 5], 1000)
         for j, p in enumerate([P111, P222, ModelParams(0.5, 2.0, 0.3)]):
-            buf = BufferedRng(RngStream(100, j))
-            for _ in range(3000):
-                simulate_trajectory(p, 1, buf).validate()
+            batch = plain_paths(p, starts, RngStream(100, j).generator())
+            for i, x0 in enumerate(starts):
+                tr = batch.trajectory(i)
+                tr.validate()
+                assert tr.initial_state == x0
 
     def test_first_event_birth_prob(self):
         # from state 1 the first event is a birth with probability 1/(1+alpha+mu)
-        buf = BufferedRng(RngStream(101))
         n = 30_000
-        hits = sum(simulate_trajectory(P111, 1, buf).events[0][1] == BIRTH for _ in range(n))
+        hits = (first_kinds(P111, n, RngStream(101)) == BIRTH.encode()).sum()
         p = 1.0 / 3.0
         assert abs(hits / n - p) <= 3.0 * math.sqrt(p * (1 - p) / n)
 
     def test_first_downjump_mutation_prob(self):
-        buf = BufferedRng(RngStream(102))
-        down = mut = 0
-        for _ in range(30_000):
-            kind = simulate_trajectory(P111, 1, buf).events[0][1]
-            if kind != BIRTH:
-                down += 1
-                mut += kind == MUTATION
+        kinds = first_kinds(P111, 30_000, RngStream(102))
+        down = (kinds != BIRTH.encode()).sum()
+        mut = (kinds == MUTATION.encode()).sum()
         p = P111.mu / rho(P111, 1)
         assert abs(mut / down - p) <= 3.0 * math.sqrt(p * (1 - p) / down)
 
     def test_mean_M_matches_series(self):
-        buf = BufferedRng(RngStream(103))
         n = 100_000
-        ms = np.fromiter((simulate_trajectory(P111, 1, buf).M for _ in range(n)), float, n)
+        ms = raw_M(P111, n, RngStream(103))
         target = math.e - 2.0
         assert abs(ms.mean() - target) <= 3.0 * ms.std() / math.sqrt(n)
 
-    def test_event_cap_is_loud(self):
+    def test_event_cap_is_loud(self, monkeypatch):
+        monkeypatch.setattr(model, "DEFAULT_EVENT_CAP", 3)
         with pytest.raises(EventCapError):
-            simulate_trajectory(P111, 5, RngStream(104), event_cap=3)
+            simulate_trajectory(P111, 5, RngStream(104))
 
     def test_start_state_validated(self):
         with pytest.raises(ValueError):
             simulate_trajectory(P111, 0, RngStream(105))
+        with pytest.raises(ValueError):
+            plain_paths(P111, [1, -1], RngStream(105).generator())
+
+    def test_start_zero_is_an_empty_path(self):
+        o = plain_paths(P111, [2, 0, 1], RngStream(107).generator()).offsets
+        assert o[0] < o[1] == o[2] < o[3]
 
     def test_L_compensated_sum(self):
         tr = simulate_trajectory(P222, 4, RngStream(106))
@@ -119,6 +145,20 @@ class TestSimulate:
             terms.append(s * (u - t))
             t, s = u, s_after
         assert tr.L == pytest.approx(sum(terms), rel=1e-12)
+
+
+class TestRateTable:
+    @pytest.mark.parametrize(
+        "params", [P111, ModelParams(0.05, 0.01, 0.3), ModelParams(10.0, 0.01, 0.99)]
+    )
+    def test_rows_are_the_rate_split_exactly(self, params):
+        cum, hold = tables(params).rates(2000)
+        for k in range(1, 2001):
+            tot = 1.0 + params.rho(k)
+            assert cum[0, k] == 1.0 / tot, k
+            assert cum[1, k] == (1.0 + params.mu) / tot, k
+            assert cum[2, k] == (1.0 + params.mu + params.alpha) / tot, k
+            assert hold[k] == 1.0 / (k * tot), k
 
 
 class TestSimulateBatch:
@@ -174,25 +214,18 @@ class TestSimulateBatch:
             assert c.passed, c.detail
 
     @pytest.mark.parametrize("x0", [1, 3])
-    def test_matches_scalar_simulator(self, x0):
-        buf = BufferedRng(RngStream(603, x0))
-        n_scalar, n_batch = 20_000, 100_000
-        trs = [simulate_trajectory(P111, x0, buf) for _ in range(n_scalar)]
+    def test_matches_plain_paths(self, x0):
+        n_paths, n_batch = 20_000, 100_000
+        paths = V.path_summaries(plain_paths(P111, np.full(n_paths, x0), RngStream(603, x0).generator()))
         batch = simulate_batch(P111, x0, n_batch, RngStream(604, x0))
-        m_scalar = np.array([tr.M for tr in trs])
-        c = V.chi2_two_sample(f"batch_M_law_x0={x0}", m_scalar, batch.M)
+        c = V.chi2_two_sample(f"batch_M_law_x0={x0}", paths.M, batch.M)
         assert c.passed, c.detail
-        scalar = {
-            "T": [tr.T for tr in trs],
-            "L": [tr.L for tr in trs],
-            "S": [math.fsum(tr.mutation_times()) for tr in trs],
-        }
-        for name, vals in scalar.items():
-            a, b = np.asarray(vals), getattr(batch, name)
+        for name in ("T", "L", "S"):
+            a, b = getattr(paths, name), getattr(batch, name)
             c = V._three_se(
                 f"batch_mean_{name}",
                 float(a.mean()),
-                float(a.std()) / math.sqrt(n_scalar),
+                float(a.std()) / math.sqrt(n_paths),
                 float(b.mean()),
                 float(b.std()) / math.sqrt(n_batch),
             )
@@ -208,57 +241,38 @@ class TestSimulateBatch:
 
 class TestConditioning:
     def test_m0_has_no_mutations(self):
-        buf = BufferedRng(RngStream(107))
-        for _ in range(200):
-            tr = condition_on_mutations(P111, 0, buf)
-            assert tr.M == 0
-            assert all(e[1] != MUTATION for e in tr.events)
-
-    def test_retry_budget_error_carries_rate(self):
-        with pytest.raises(RetryBudgetError) as err:
-            condition_on_mutations(P111, 25, RngStream(108), max_retries=50)
-        assert err.value.attempts == 50
-        assert err.value.acceptance_rate <= 1.0 / 50
+        paths = model.conditioned_paths(P111, np.zeros(200, dtype=np.int64), RngStream(107).generator())
+        assert MUTATION not in paths.kinds
+        for i in range(200):
+            assert paths.trajectory(i).M == 0
 
     def test_conditional_T_matches_stratum(self):
-        buf = BufferedRng(RngStream(109))
         n = 20_000
-        ts = np.fromiter((condition_on_mutations(P111, 1, buf).T for _ in range(n)), float, n)
-        buf2 = BufferedRng(RngStream(110))
-        ref = []
-        while len(ref) < n:
-            tr = simulate_trajectory(P111, 1, buf2)
-            if tr.M == 1:
-                ref.append(tr.T)
-        ref = np.asarray(ref)
+        paths = model.conditioned_paths(P111, np.ones(n, dtype=np.int64), RngStream(109).generator())
+        ts = paths.times[paths.offsets[1:] - 1]
+        ref = np.array([tr.T for tr in rejection_paths(P111, 1, n, RngStream(110))])
         gap = abs(ts.mean() - ref.mean())
         band = 3.0 * math.hypot(ts.std() / math.sqrt(n), ref.std() / math.sqrt(n))
         assert gap <= band
 
     def test_m0_acceptance_rate_is_g_at_zero(self):
-        buf = BufferedRng(RngStream(111))
         n = 50_000
-        hits = sum(simulate_trajectory(P111, 1, buf).M == 0 for _ in range(n))
+        hits = (raw_M(P111, n, RngStream(111)) == 0).sum()
         g0 = g_eval(P111, 0.0).midpoint
         assert abs(hits / n - g0) <= 3.0 * math.sqrt(g0 * (1 - g0) / n)
 
     def test_decomposition_sampler_matches_rejection(self):
         # one lockstep batch per m against the rejection oracle
         for m in (0, 1, 3, 5):
-            buf2 = BufferedRng(RngStream(113, m))
             n = 6000
             paths = model.conditioned_paths(P111, np.full(n, m), RngStream(112, m).generator())
-            times, states, o = paths.times.tolist(), paths.states.tolist(), paths.offsets.tolist()
             a = np.empty(n)
-            b = np.empty(n)
             for i in range(n):
-                j = slice(o[i], o[i + 1])
-                t1 = MarkedTrajectory(1, list(zip(times[j], paths.kinds[j], states[j])))
+                t1 = paths.trajectory(i)
                 t1.validate()
                 assert t1.M == m
-                t2 = condition_on_mutations(P111, m, buf2)
                 a[i] = t1.L
-                b[i] = t2.L
+            b = np.array([tr.L for tr in rejection_paths(P111, m, n, RngStream(113, m))])
             assert stats.ks_2samp(a, b).pvalue >= 0.005
 
     def test_decomposition_deep_tail(self):
@@ -301,10 +315,11 @@ class TestHTransform:
         with pytest.raises(ValueError):
             model.conditioned_paths(P111, [1, -1], gen)
 
-    def test_event_cap_is_loud_in_a_batch(self):
+    def test_event_cap_is_loud_in_a_batch(self, monkeypatch):
         # m = 5 needs at least 9 events
+        monkeypatch.setattr(model, "DEFAULT_EVENT_CAP", 8)
         with pytest.raises(EventCapError):
-            model.conditioned_paths(P111, [0, 1, 5, 0], RngStream(131).generator(), event_cap=8)
+            model.conditioned_paths(P111, [0, 1, 5, 0], RngStream(131).generator())
 
 
 class TestPasting:
@@ -364,14 +379,11 @@ class TestPasting:
 
 class TestNuCircAndXMut:
     def test_nu_circ_draw_range(self):
-        buf = BufferedRng(RngStream(122))
-        draws = [sample_nu_circ(P111, buf) for _ in range(2000)]
-        assert min(draws) >= 1
+        draws = sample_nu_circ(P111, 2000, RngStream(122).generator())
+        assert draws.shape == (2000,) and draws.min() >= 1
 
     def test_x_mut_structure(self):
-        buf = BufferedRng(RngStream(123))
-        for _ in range(300):
-            tr = sample_x_mut(P111, buf)
+        for tr in sample_x_mut(P111, 300, RngStream(123)):
             tr.validate()
             k = tr.pre_zero_state()
             # the time-0 transition is the distinguished mutation K -> K-1

@@ -6,7 +6,7 @@ import pytest
 
 from phylonetsim import ModelParams, RngStream, analytics, limits
 from phylonetsim.cli import NUMERIC_ERRORS
-from phylonetsim.errors import GlueError, NumericalFailure
+from phylonetsim.errors import GlueError, NumericalFailure, RetryBudgetError
 from phylonetsim.model import BIRTH, COALESCENCE, DEATH, MUTATION, sample_conditioned_path
 from phylonetsim.network import (
     ColorNetwork,
@@ -21,6 +21,7 @@ from phylonetsim.network import (
     tilted_offspring_cached,
 )
 from phylonetsim.rng import BufferedRng
+import phylonetsim.network as network_mod
 import phylonetsim.verify as V
 
 P111 = ModelParams(1.0, 1.0, 1.0)
@@ -110,6 +111,14 @@ class TestGenealogyTree:
             t = sample_genealogy_tree(probs, 2, RngStream(406, i))
             assert t.parent == [-1, 0]
             assert [t.outdegree(v) for v in (0, 1)] == [1, 0]
+
+    def test_retry_budget_error_carries_rate(self, monkeypatch):
+        # every outdegree is 2, so four of them never sum to 3
+        monkeypatch.setattr(network_mod, "TREE_RETRIES", 50)
+        with pytest.raises(RetryBudgetError) as err:
+            sample_genealogy_tree(np.array([0.0, 0.0, 1.0]), 4, RngStream(108))
+        assert err.value.attempts == 50
+        assert err.value.acceptance_rate <= 1.0 / 50
 
     def test_methods_agree(self):
         for c in V.check_genealogy_methods(P111, seed=407, n=6, n_samples=6000):
