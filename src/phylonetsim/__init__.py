@@ -3,7 +3,7 @@ phylogenetic network model."""
 
 __version__ = "0.1.0"
 
-from .params import ModelParams, rho
+from .params import ModelParams
 from .rng import RngStream
 from .model import (
     BIRTH,
@@ -39,7 +39,6 @@ from .network import (
     contour,
     decorate,
     distance,
-    glue,
     sample_genealogy_tree,
     sample_network,
     uniform_point,
@@ -54,55 +53,4 @@ from .limits import (
     sample_focal_network,
     sample_local_ball,
     sample_spinal_network,
-    verify_crt_scaling,
 )
-
-__all__ = [
-    "ModelParams",
-    "RngStream",
-    "MarkedTrajectory",
-    "rho",
-    "simulate_trajectory",
-    "simulate_batch",
-    "BIRTH",
-    "DEATH",
-    "COALESCENCE",
-    "MUTATION",
-    "CertifiedValue",
-    "OffspringPmf",
-    "TiltSolution",
-    "NuCircPmf",
-    "expected_M",
-    "g_eval",
-    "g_derivatives",
-    "extinction_probability",
-    "simple_pext_bounds",
-    "offspring_pmf",
-    "zeta_tilt",
-    "nu_circ_pmf",
-    "laplace_f",
-    "malthusian",
-    "pgf_from_state",
-    "ColorNetwork",
-    "GenealogyTree",
-    "GluedNetwork",
-    "PointRef",
-    "decorate",
-    "sample_genealogy_tree",
-    "glue",
-    "sample_network",
-    "distance",
-    "uniform_point",
-    "contour",
-    "CrtConstants",
-    "Estimate",
-    "LocalBall",
-    "crt_constants",
-    "gw_size_probability",
-    "verify_crt_scaling",
-    "sample_focal_network",
-    "sample_spinal_network",
-    "sample_local_ball",
-    "prob_N",
-    "__version__",
-]

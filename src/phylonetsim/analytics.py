@@ -213,10 +213,10 @@ def convergent_pair(params: ModelParams, z: float, n: int) -> tuple:
     return lo[-1], hi[-1]
 
 
-def gap_majorant(params: ModelParams, n: int, start_level: int = 1) -> float:
-    """Upper bound prod_{k=start..n} 1/rho_k on the convergent gap over [0, 1]."""
+def gap_majorant(params: ModelParams, n: int) -> float:
+    """Upper bound prod_{k<=n} 1/rho_k on the convergent gap over [0, 1]."""
     w = 1.0
-    for k in range(start_level, n + 1):
+    for k in range(1, n + 1):
         w /= params.rho(k)
     return w
 
@@ -238,9 +238,7 @@ def g_eval(params: ModelParams, z: float, start_level: int = 1, tol: float = 1e-
     return _enclose(ends, DEPTH_START, certified, lambda a, b: abs(a - b) <= tol, f"{what} above {tol}")
 
 
-def g_derivatives(
-    params: ModelParams, z: float, order: int = 1, tol: float = 1e-10, start_level: int = 1
-) -> CertifiedValue:
+def g_derivatives(params: ModelParams, z: float, order: int = 1, tol: float = 1e-10) -> CertifiedValue:
     """Derivative of the pgf by joint propagation through the recursion.
 
     Two terminal choices (the flat value 1 and the self-consistent gbar_n
@@ -262,7 +260,7 @@ def g_derivatives(
             gb1 = params.mu / math.sqrt(disc)
             gb2 = 2.0 * params.mu**2 / disc**1.5
             candidates.append((gb, gb1, gb2))
-        vals = [t[order] for t in _fraction(params, z, n, start_level, candidates, derivatives=True)]
+        vals = [t[order] for t in _fraction(params, z, n, 1, candidates, derivatives=True)]
         if prev_vals is not None:
             allv = vals + prev_vals
             if max(allv) - min(allv) <= tol:
@@ -330,12 +328,13 @@ def offspring_tables(params: ModelParams, m_max: int = 256, tol: float = 1e-14):
     level would exceed TABLE_LEVEL_CAP.  Kept in the parameter set's
     ModelTables.
     """
-    cache = tables(params).offspring
-    cached = cache.get((m_max, tol))
-    if cached is not None:
-        return cached
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
+    return tables(params).keep(("offspring", m_max, tol), lambda: _excursion_pmfs(params, m_max, tol))
+
+
+def _excursion_pmfs(params: ModelParams, m_max: int, tol: float):
+    """The recursion behind :func:`offspring_tables`."""
     n_trunc = 1
     w = 1.0 / params.rho(1)
     while w > tol:
@@ -366,8 +365,7 @@ def offspring_tables(params: ModelParams, m_max: int = 256, tol: float = 1e-14):
         pk = (1.0 - p_mut) * r
         pk[1:] += p_mut * r[:-1]
         P[k] = pk
-    out = cache[(m_max, tol)] = (P, n_trunc, w)
-    return out
+    return P, n_trunc, w
 
 
 def offspring_pmf(params: ModelParams, m_max: int, tol: float = 1e-12) -> OffspringPmf:
@@ -417,25 +415,12 @@ def nu_circ_pmf(params: ModelParams, tol: float = 1e-12) -> NuCircPmf:
     return NuCircPmf(np.asarray(weights) / total, tail / total)
 
 
-def _kept(params: ModelParams, name: str, tol: float, solve):
-    """solve(params, tol), kept in the parameter set's ModelTables by (name, tol).
-
-    A typed error propagates and nothing is kept, so it is raised again on
-    the next call.
-    """
-    memo = tables(params).memo
-    key = (name, tol)
-    if key not in memo:
-        memo[key] = solve(params, tol)
-    return memo[key]
-
-
 def zeta_tilt(params: ModelParams, tol: float = 1e-10) -> TiltSolution:
     """Exponential tilt of M with mean 1: solves E[M zeta^M] = E[zeta^M].
 
-    Solved once per parameter set and tol; see :func:`_kept`.
+    Solved once per parameter set and tol, and kept in its ModelTables.
     """
-    return _kept(params, "zeta_tilt", tol, _solve_tilt)
+    return tables(params).keep(("zeta_tilt", tol), lambda: _solve_tilt(params, tol))
 
 
 def _solve_tilt(params: ModelParams, tol: float) -> TiltSolution:
@@ -537,9 +522,9 @@ def _growth_series(params: ModelParams, lam: float, tol: float) -> float:
 def malthusian(params: ModelParams, tol: float = 1e-10) -> float:
     """Growth rate of the color count: solves E[M] E_circ[e^{-lam T}] = 1.
 
-    Solved once per parameter set and tol; see :func:`_kept`.
+    Solved once per parameter set and tol, and kept in its ModelTables.
     """
-    return _kept(params, "malthusian", tol, _solve_growth_rate)
+    return tables(params).keep(("malthusian", tol), lambda: _solve_growth_rate(params, tol))
 
 
 def _solve_growth_rate(params: ModelParams, tol: float) -> float:
@@ -611,7 +596,7 @@ def pgf_from_state(params: ModelParams, k: int, z: float, tol: float = 1e-12) ->
     return _enclose(ends, max(DEPTH_START, 2 * k), certified, close, f"pgf_from_state {what} above {tol}")
 
 
-def critical_mu(alpha: float, beta: float, tol: float = 1e-12) -> float:
+def critical_mu(alpha: float, beta: float) -> float:
     """Mutation rate making E[M] = 1 for the given alpha, beta (if attainable)."""
     f = lambda m: expected_M(ModelParams(alpha, beta, m), 1e-14).midpoint - 1.0
     lo, hi = 1e-12, 1.0
@@ -621,18 +606,23 @@ def critical_mu(alpha: float, beta: float, tol: float = 1e-12) -> float:
         tries += 1
         if tries > 40:
             raise NumericalFailure(f"E[M] stays below 1 for alpha={alpha}, beta={beta}")
-    return float(brentq(f, lo, hi, xtol=tol))
+    return float(brentq(f, lo, hi, xtol=1e-12))
 
 
-def tilted_offspring(params: ModelParams, tol: float = 1e-10):
+def tilted_offspring(params: ModelParams):
     """Tilted offspring pmf P(Mhat = m) = zeta^m P(M = m) / E[zeta^M].
 
-    Returns (TiltSolution, normalized probs array).  The support cap is
-    grown until the tilted series matches g(zeta) to relative 1e-9.  A
-    non-finite sum (zeta^m overflows) raises NumericalFailure at once: every
-    larger cap shares these terms.
+    Returns (TiltSolution, normalized probs array), kept in the parameter
+    set's ModelTables.  The support cap is grown until the tilted series
+    matches g(zeta) to relative 1e-9.  A non-finite sum (zeta^m overflows)
+    raises NumericalFailure at once: every larger cap shares these terms.
     """
-    tilt = zeta_tilt(params, tol)
+    return tables(params).keep(("tilted_offspring",), lambda: _tilt_pmf(params))
+
+
+def _tilt_pmf(params: ModelParams):
+    """The support search behind :func:`tilted_offspring`."""
+    tilt = zeta_tilt(params)
     target = tilt.E_zetaM
     m_max = 48
     gap = "none"

@@ -1,4 +1,4 @@
-"""Scaling-limit constants and local weak limit samplers, with cross-checks.
+"""Scaling-limit constants and local weak limit samplers.
 
 The rescaled network converges to the Brownian CRT with constant
 C = sigma_hat / (2 E[U*]), where U* is a uniform mutation time of the
@@ -6,7 +6,8 @@ M zeta^M-biased trajectory, and |G_n| ~ n E[L zeta^M]/E[zeta^M].  E[U*]
 and ell are estimated by self-normalized weighted Monte Carlo and by
 closed-form decompositions over nu_circ; the Monte Carlo reads only M, T, L
 and the mutation-time sum of each run, so it runs on the batched simulator
-``model.simulate_batch``.
+``model.simulate_batch``.  The desk-scale checks of the scaling on sampled
+networks are in ``verify``.
 
 The local weak limit around a length-uniform point is a spine of
 size-biased-offspring vertices with a length-biased focal decoration.  The
@@ -42,9 +43,9 @@ from .model import (
     tilted_h_transform,
     tilted_paths,
 )
-from .network import ColorNetwork, build_color_network, contour, decorate_batch
+from .network import ColorNetwork, build_color_network, decorate_batch
 from .params import ModelParams
-from .rng import BufferedRng, RngStream
+from .rng import RngStream, buffered
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,9 @@ class Estimate:
             "flags": list(self.flags),
         }
 
-    def overlaps(self, other: "Estimate", k: float = 3.0) -> bool:
-        gap = abs(self.value - other.value)
-        return gap <= k * math.hypot(self.std_error, other.std_error)
+    def overlaps(self, other: "Estimate") -> bool:
+        """Whether the two values lie within 3 combined standard errors."""
+        return abs(self.value - other.value) <= 3.0 * math.hypot(self.std_error, other.std_error)
 
 
 @dataclass(frozen=True)
@@ -168,16 +169,15 @@ def crt_constants(params: ModelParams, rng: RngStream, n_samples: int = 100_000)
     return CrtConstants(zeta, EzM, tilt.sigma_hat_sq, eu1, eu2, ell1, ell2, C)
 
 
-def gw_size_probability(tilted_probs: np.ndarray, n: int, drop: float | None = None):
+def gw_size_probability(tilted_probs: np.ndarray, n: int):
     """P(tree has n vertices) = (1/n) P(S_n = -1) by exact step convolution.
 
     Returns (value, error_bound); the error bound accumulates the pmf mass
-    discarded by the support cap (entries below ``drop``, default 1e-16/n).
+    discarded by the support cap (entries below 1e-16/n).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if drop is None:
-        drop = 1e-16 / n
+    drop = 1e-16 / n
     step = np.asarray(tilted_probs, dtype=float)
     # walk values tracked on an offset grid: index i <-> value i + low
     dist = np.array([1.0])
@@ -200,88 +200,6 @@ def gw_size_probability(tilted_probs: np.ndarray, n: int, drop: float | None = N
     return p / n, discarded / n
 
 
-# E[sup of the standard Brownian excursion] = sqrt(pi/2) (Kennedy 1976,
-# J. Appl. Probab. 13).
-EXCURSION_SUP_MEAN = math.sqrt(math.pi / 2.0)
-
-
-def _crt_replicate(args):
-    params, n, seed, stream_id, path, eu, grid_size = args
-    rng = RngStream(seed, stream_id, tuple(path))
-    from .network import sample_network
-
-    G = sample_network(params, n, rng.substream(0))
-    ts, hs, cols = contour(G, rng.substream(1), grid_size)
-    depths = np.asarray(G.tree.depths(), dtype=float)
-    ht = eu * depths[cols]
-    return (
-        G.total_length / n,
-        G.max_height() / math.sqrt(n),
-        float(np.max(np.abs(hs - ht))) / math.sqrt(n),
-        float(np.corrcoef(hs, ht)[0, 1]),
-    )
-
-
-def verify_crt_scaling(
-    params: ModelParams,
-    n: int,
-    replicates: int,
-    rng: RngStream,
-    constants: CrtConstants | None = None,
-    grid_size: int = 1024,
-    workers: int = 1,
-) -> dict:
-    """Desk-scale CRT checks on n-color networks.
-
-    Reports (a) mean |G_n|/n against ell, (b) rescaled mean maximum height
-    against (2 E[U*]/sigma_hat) E[sup e] with E[sup e] = sqrt(pi/2), and
-    (c) the correlation and rescaled sup deviation between the network
-    height process and E[U*] times the color-tree height process.  Replicates use one stream
-    each and are reduced in stream order, so results do not depend on the
-    worker count.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if constants is None:
-        constants = crt_constants(params, rng.substream(900_001), n_samples=50_000)
-    eu = constants.EUstar.value
-    sig = math.sqrt(constants.sigma_hat_sq)
-    base = rng.substream(900_003)
-    jobs = [
-        (params, n, base.seed, base.stream_id, base.path + (i,), eu, grid_size)
-        for i in range(replicates)
-    ]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_crt_replicate, jobs, chunksize=max(1, replicates // (4 * workers))))
-    else:
-        results = [_crt_replicate(j) for j in jobs]
-    sizes = np.array([r[0] for r in results])
-    maxh = np.array([r[1] for r in results])
-    supdev = np.array([r[2] for r in results])
-    corr = np.array([r[3] for r in results])
-    mean_size = Estimate(
-        float(sizes.mean()), float(sizes.std()) / math.sqrt(replicates), replicates
-    )
-    mean_maxh = Estimate(float(maxh.mean()), float(maxh.std()) / math.sqrt(replicates), replicates)
-    target_maxh = 2.0 * eu / sig * EXCURSION_SUP_MEAN
-    return {
-        "n": n,
-        "replicates": replicates,
-        "mean_size_per_color": mean_size.to_json_dict(),
-        "ell": constants.ell.to_json_dict(),
-        "size_check_passed": mean_size.overlaps(constants.ell),
-        "mean_max_height_rescaled": mean_maxh.to_json_dict(),
-        "max_height_target": target_maxh,
-        "max_height_rel_err": abs(mean_maxh.value - target_maxh) / target_maxh,
-        "mean_sup_deviation_rescaled": float(supdev.mean()),
-        "sup_deviation_se": float(supdev.std()) / math.sqrt(replicates),
-        "mean_height_correlation": float(corr.mean()),
-    }
-
-
 # -- local weak limit -------------------------------------------------------
 
 
@@ -297,11 +215,9 @@ def _pasted_networks(params: ModelParams, zeta: float, n: int, rng, spinal: bool
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    buf = rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
+    buf = buffered(rng)
     gen, lag = buf.generator(), int(spinal)
-    from .network import tilted_offspring_cached
-
-    m_max = max(256, tilted_offspring_cached(params)[1].size - 1)
+    m_max = max(256, analytics.tilted_offspring(params)[1].size - 1)
     hz = tilted_h_transform(params, zeta, m_max).h[:, 0]
     nu = analytics.nu_circ_pmf(params).probs
     ks = np.arange(1, nu.size + 1)
@@ -403,16 +319,16 @@ def sample_local_ball(params: ModelParams, zeta: float, r: int, rng) -> LocalBal
     Spine vertices carry size-biased tilted outdegrees (always >= 1) and
     are attached to the previous spine vertex at a uniformly chosen
     mutation index; all other materialized vertices carry tilted-offspring
-    Galton-Watson subtrees truncated at tree distance r.  The focal network
-    is drawn first, then the ball's shape, then every other vertex's
-    decoration, conditioned on its outdegree, in one ``decorate_batch`` call.
+    Galton-Watson subtrees truncated at tree distance r, grown in preorder
+    from an explicit stack, so no radius meets the recursion limit.  The
+    focal network is drawn first, then the ball's shape, then every other
+    vertex's decoration, conditioned on its outdegree, in one
+    ``decorate_batch`` call.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    buf = rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
-    from .network import tilted_offspring_cached
-
-    tilt, probs = tilted_offspring_cached(params)
+    buf = buffered(rng)
+    tilt, probs = analytics.tilted_offspring(params)
     cdf = np.cumsum(probs)
     sb = np.arange(len(probs)) * probs
     sb_cdf = np.cumsum(sb)
@@ -420,51 +336,61 @@ def sample_local_ball(params: ModelParams, zeta: float, r: int, rng) -> LocalBal
     m_focal = len(focal_net.mutation_points)
     vertices = [BallVertex(0, m_focal, focal_net, role="focal")]
 
-    def grow_offspring(depth: int) -> int:
-        d = int(np.searchsorted(cdf, buf.uniform() * cdf[-1], side="right"))
-        vid = len(vertices)
-        vertices.append(BallVertex(depth, d, None))
-        vertices[vid].children = [grow_offspring(depth + 1) for _ in range(d)] if depth < r else [-1] * d
-        return vid
+    def grow(depth: int, count: int) -> list:
+        """The ids of count subtrees rooted at depth, grown in preorder: a
+        vertex's id joins its parent's children when it is popped."""
+        roots = []
+        stack = [(roots, depth)] * count
+        while stack:
+            siblings, dep = stack.pop()
+            d = int(np.searchsorted(cdf, buf.uniform() * cdf[-1], side="right"))
+            siblings.append(len(vertices))
+            v = BallVertex(dep, d, None)
+            vertices.append(v)
+            if dep < r:
+                stack += [(v.children, dep + 1)] * d
+            else:
+                v.children = [-1] * d
+        return roots
 
-    vertices[0].children = [grow_offspring(1) for _ in range(m_focal)] if r > 0 else [-1] * m_focal
+    vertices[0].children = grow(1, m_focal) if r > 0 else [-1] * m_focal
     spine_ids = []
     below = 0
     for k in range(1, r + 1):
         mstar = 1 + int(np.searchsorted(sb_cdf, buf.uniform() * sb_cdf[-1], side="right"))
         attach = int(buf.uniform() * mstar)
-        vid = len(vertices)
-        vertices.append(BallVertex(k, mstar, None, role="spine", attach_index=attach))
-        vertices[vid].children = [
-            below if slot == attach else (grow_offspring(k + 1) if k < r else -1) for slot in range(mstar)
-        ]
-        spine_ids.append(vid)
-        below = vid
+        v = BallVertex(k, mstar, None, role="spine", attach_index=attach)
+        spine_ids.append(len(vertices))
+        vertices.append(v)
+        v.children = grow(k + 1, mstar - 1) if k < r else [-1] * (mstar - 1)
+        v.children.insert(attach, below)
+        below = spine_ids[-1]
     for v, dec in zip(vertices[1:], decorate_batch(params, [v.outdegree for v in vertices[1:]], buf)):
         v.decoration = dec
     return LocalBall(vertices, 0, spine_ids, r)
 
 
-def prob_N_table(params: ModelParams, zeta: float, tol: float = 1e-10) -> np.ndarray:
+def prob_N_table(params: ModelParams, zeta: float) -> np.ndarray:
     """Law of the number of same-color lineages coexisting with the focal point.
 
-    P(N=k) normalizes nu_circ(k) E_k[zeta^M]^2 / prod_{j<=k} c_j(zeta).
+    P(N=k) normalizes nu_circ(k) E_k[zeta^M]^2 / prod_{j<=k} c_j(zeta), up to
+    the first k whose term is below 1e-10 of the running sum.
     """
-    nu = analytics.nu_circ_pmf(params, tol=min(tol, 1e-12))
+    nu = analytics.nu_circ_pmf(params)
     terms = []
     for k in range(1, nu.probs.size + 1):
         ek = analytics.pgf_from_state(params, k, zeta, tol=1e-10).midpoint
         terms.append(
             float(nu.probs[k - 1]) * ek * ek / reversal_mark_factor(params, zeta, k)
         )
-        if terms[-1] < tol * math.fsum(terms):
+        if terms[-1] < 1e-10 * math.fsum(terms):
             break
     arr = np.asarray(terms)
     return arr / arr.sum()
 
 
-def prob_N(params: ModelParams, zeta: float, k: int, tol: float = 1e-10) -> float:
+def prob_N(params: ModelParams, zeta: float, k: int) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
-    table = prob_N_table(params, zeta, tol)
+    table = prob_N_table(params, zeta)
     return float(table[k - 1]) if k <= table.size else 0.0

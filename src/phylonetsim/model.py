@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import EventCapError, NumericalFailure
 from .params import ModelParams, tables
-from .rng import BufferedRng, RngStream
+from .rng import RngStream, buffered
 
 BIRTH = "B"
 DEATH = "D"
@@ -50,7 +50,8 @@ class MarkedTrajectory:
 
     ``events`` holds ``(time, kind, state_after)`` triples with strictly
     increasing times.  For a well-formed trajectory the running state stays
-    nonnegative and hits 0 exactly at the last event.
+    nonnegative and hits 0 exactly at the last event; ``verify`` holds the
+    check of that and the other readers of the path that only checks use.
     """
 
     initial_state: int
@@ -80,71 +81,12 @@ class MarkedTrajectory:
             t, s = u, s_after
         return math.fsum(terms)
 
-    def mutation_times(self) -> list:
-        return [e[0] for e in self.events if e[1] == MUTATION]
-
-    def state_at(self, t: float) -> int:
-        """State of the right-continuous path at time t."""
-        if t < self.start_time:
-            raise ValueError(f"t={t} before start of domain {self.start_time}")
-        s = self.initial_state
-        for u, _, s_after in self.events:
-            if u > t:
-                break
-            s = s_after
-        return s
-
-    def pre_zero_state(self) -> int:
-        """Left limit of the state at time 0 (state after the last t<0 event)."""
-        s = self.initial_state
-        for u, _, s_after in self.events:
-            if u >= 0.0:
-                break
-            s = s_after
-        return s
-
-    def validate(self) -> None:
-        """Raise ValueError if any trajectory invariant is violated."""
-        t, s = self.start_time, self.initial_state
-        if s < 1:
-            raise ValueError("initial state must be >= 1")
-        for i, (u, kind, s_after) in enumerate(self.events):
-            if u <= t and not (i == 0 and u >= t):
-                raise ValueError(f"event times not strictly increasing at index {i}")
-            step = s_after - s
-            if kind == BIRTH and step != 1:
-                raise ValueError(f"birth with step {step} at index {i}")
-            if kind in DOWN_KINDS and step != -1:
-                raise ValueError(f"{kind} with step {step} at index {i}")
-            if kind not in DOWN_KINDS and kind != BIRTH:
-                raise ValueError(f"unknown event kind {kind!r}")
-            if s_after < 0:
-                raise ValueError("state went negative")
-            if s_after == 0 and i != len(self.events) - 1:
-                raise ValueError("state hit 0 before the last event")
-            t, s = u, s_after
-        if self.events and self.events[-1][2] != 0:
-            raise ValueError("trajectory does not end at 0")
-
     def to_json_dict(self) -> dict:
         return {
             "initial_state": self.initial_state,
             "start_time": self.start_time,
             "events": [[t, kind] for t, kind, _ in self.events],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MarkedTrajectory":
-        s = d["initial_state"]
-        events = []
-        for t, kind in d["events"]:
-            s = s + 1 if kind == BIRTH else s - 1
-            events.append((float(t), kind, s))
-        return cls(d["initial_state"], events, float(d["start_time"]))
-
-
-def _as_buffered(rng) -> BufferedRng:
-    return rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
 
 
 class TrajectoryStats(NamedTuple):
@@ -211,43 +153,30 @@ def simulate_batch(params: ModelParams, x0, n: int, rng: RngStream) -> Trajector
     return TrajectoryStats(M, *TLS)
 
 
-class HTransform(NamedTuple):
+class HTransform:
     """A Doob h-transform of the jump chain, and the step tables it is run by.
 
     A path's place in the tables is its index k*w + r, for state k and
     column r of the w = ``h.shape[1]`` columns of ``h``.  Rows
     k = 0..n_trunc+1 of ``h`` hold the h-function; above n_trunc
     excursions carry no mutation, so row n_trunc+1 is row n_trunc.  The step
-    tables, indexed by the index, hold the cumulative probabilities of an
-    up-step, a mutation and a death (``cum``; the rest is a coalescence; NaN
-    where every weight underflowed) and the mean holding time of the state
-    (``hold``).
+    tables, indexed by the index and grown on demand by :meth:`steps`, hold
+    the cumulative probabilities of an up-step, a mutation and a death
+    (``cum``; the rest is a coalescence; NaN where every weight underflowed)
+    and the mean holding time of the state (``hold``).
+
+    ``mut`` is the weight of a mutation from each state k = 1..n_trunc
+    before the factor mu.  From state k the chain goes up, takes a
+    mutation, dies or coalesces with weights h(k+1), mu mut(k), alpha h(k-1)
+    and (k-1) beta h(k-1), which sum to (1 + rho_k) h(k), the first-step
+    equation of h; each row is divided by its own sum, which absorbs the
+    rounding.  Above n_trunc a down-step is a death or a coalescence with
+    odds alpha : (k-1) beta, as in the truncated model of the tables.
     """
 
-    h: np.ndarray
-    n_trunc: int
-    cum: np.ndarray
-    hold: np.ndarray
+    __slots__ = ("params", "h", "n_trunc", "cum", "hold")
 
-
-def _kept_table(params: ModelParams, store: dict, key, top: int, build) -> HTransform:
-    """The h-transform kept in ``store`` under ``key``, with step tables
-    through state ``top`` at least.
-
-    ``build()`` returns the h-function and the weight of a mutation from
-    each state k = 1..n_trunc before the factor mu.  From state k the chain
-    goes up, takes a mutation, dies or coalesces with weights h(k+1),
-    mu mut(k), alpha h(k-1) and (k-1) beta h(k-1), which sum to
-    (1 + rho_k) h(k), the first-step equation of h; each row is divided by
-    its own sum, which absorbs the rounding.  Above n_trunc a down-step is a
-    death or a coalescence with odds alpha : (k-1) beta, as in the truncated
-    model of the tables.
-    """
-    ht = store.get(key)
-    if ht is not None and ht.hold.size > top * ht.h.shape[1]:
-        return ht
-    if ht is None:
-        h, mut = build()
+    def __init__(self, params: ModelParams, h: np.ndarray, mut: np.ndarray):
         n_trunc, w = h.shape[0] - 2, h.shape[1]
         below = h[:-2]
         weights = np.stack(
@@ -255,23 +184,28 @@ def _kept_table(params: ModelParams, store: dict, key, top: int, build) -> HTran
         )
         with np.errstate(invalid="ignore"):
             cum = np.cumsum(weights[:3], axis=0) / weights.sum(axis=0)
-        low = np.concatenate([np.full((3, 1, w), np.nan), cum], axis=1).reshape(3, -1)  # state 0 is never left
-    else:
-        h, n_trunc, w = ht.h, ht.n_trunc, ht.h.shape[1]
-        low = ht.cum[:, : (n_trunc + 1) * w]
-    size = max(2 * top, n_trunc + 16)
-    cum, hold = tables(params).rates(size - 1)
-    up = cum[0, n_trunc + 1 : size]
-    k = np.arange(n_trunc + 1, size)
-    death = up + (1.0 - up) * params.alpha / (params.alpha + (k - 1) * params.beta)
-    above = np.repeat(np.stack([up, up, death]), w, axis=1)
-    ht = store[key] = HTransform(h, n_trunc, np.concatenate([low, above], axis=1), np.repeat(hold[:size], w))
-    return ht
+        self.params, self.h, self.n_trunc = params, h, n_trunc
+        self.cum = np.concatenate([np.full((3, 1, w), np.nan), cum], axis=1).reshape(3, -1)  # state 0 is never left
+        self.hold = np.empty(0)
+        self.steps(0)
+
+    def steps(self, top: int) -> tuple:
+        """The step tables (cum, hold), through state top at least."""
+        p, n_trunc, w = self.params, self.n_trunc, self.h.shape[1]
+        if self.hold.size <= top * w:
+            size = max(2 * top, n_trunc + 16)
+            cum, hold = tables(p).rates(size - 1)
+            up = cum[0, n_trunc + 1 : size]
+            k = np.arange(n_trunc + 1, size)
+            death = up + (1.0 - up) * p.alpha / (p.alpha + (k - 1) * p.beta)
+            above = np.repeat(np.stack([up, up, death]), w, axis=1)
+            self.cum = np.concatenate([self.cum[:, : (n_trunc + 1) * w], above], axis=1)
+            self.hold = np.repeat(hold[:size], w)
+        return self.cum, self.hold
 
 
-def h_transform(params: ModelParams, m_max: int = 256, top: int = 0) -> HTransform:
-    """The h-transform of the jump chain given M, with step tables through
-    state ``top`` at least; kept in its ModelTables by m_max.
+def h_transform(params: ModelParams, m_max: int = 256) -> HTransform:
+    """The h-transform of the jump chain given M, kept in its ModelTables by m_max.
 
     Column r is the number of mutations still to come:
     h(k, r) = P_k(M = r), r = 0..m_max, where row k is row k-1 convolved
@@ -289,14 +223,14 @@ def h_transform(params: ModelParams, m_max: int = 256, top: int = 0) -> HTransfo
         for k in range(1, n_trunc + 1):
             h[k] = np.convolve(P[k], h[k - 1])[:w]
         h[n_trunc + 1] = h[n_trunc]
-        return h, np.pad(h[:-2], ((0, 0), (1, 0)))[:, :w]
+        return HTransform(params, h, np.pad(h[:-2], ((0, 0), (1, 0)))[:, :w])
 
-    return _kept_table(params, tables(params).h, m_max, top, build)
+    return tables(params).keep(("h", m_max), build)
 
 
-def tilted_h_transform(params: ModelParams, zeta: float, m_max: int = 256, top: int = 0) -> HTransform:
-    """The h-transform of the zeta^M-tilted jump chain, with step tables
-    through state ``top`` at least; kept in its ModelTables by (zeta, m_max).
+def tilted_h_transform(params: ModelParams, zeta: float, m_max: int = 256) -> HTransform:
+    """The h-transform of the zeta^M-tilted jump chain, kept in its
+    ModelTables by (zeta, m_max).
 
     h(k) = E_k[zeta^M] on the truncated model of :func:`h_transform`: the
     zeta^r-weighted sum of its row k, as one column.  A mutation weighs
@@ -319,9 +253,9 @@ def tilted_h_transform(params: ModelParams, zeta: float, m_max: int = 256, top: 
                 f"the zeta^M-tilted law at zeta = {zeta} has mass beyond m_max = {m_max} of the offspring tables"
             )
         hz = hz[:, None]
-        return hz, zeta * hz[:-2]
+        return HTransform(params, hz, zeta * hz[:-2])
 
-    return _kept_table(params, tables(params).h_zeta, (zeta, m_max), top, build)
+    return tables(params).keep(("h_zeta", zeta, m_max), build)
 
 
 class PathBatch(NamedTuple):
@@ -354,7 +288,7 @@ def _lockstep(table, w: int, starts: np.ndarray, step: np.ndarray, gen: np.rando
 
     A path's index is k*w + r for state k and column r of the w columns of
     its h-function.  ``table(top)`` returns the step tables (cum, hold) of
-    :class:`HTransform` through state top, ``starts`` holds each path's
+    :meth:`HTransform.steps` through state top, ``starts`` holds each path's
     index at time 0 and ``step`` the index change of a birth, a mutation, a
     death and a coalescence.  All live paths advance one event per NumPy
     step, on one uniform each; a path ends in state 0, so one that starts
@@ -431,7 +365,7 @@ def simulate_trajectory(params: ModelParams, x0: int, rng) -> MarkedTrajectory:
     """
     if x0 < 1:
         raise ValueError(f"x0 must be >= 1, got {x0}")
-    return plain_paths(params, [x0], _as_buffered(rng).generator()).trajectory(0)
+    return plain_paths(params, [x0], buffered(rng).generator()).trajectory(0)
 
 
 def conditioned_paths(params: ModelParams, ms, gen: np.random.Generator, m_max: int = 256) -> PathBatch:
@@ -454,7 +388,7 @@ def conditioned_paths(params: ModelParams, ms, gen: np.random.Generator, m_max: 
         )
     w = m_max + 1
     step = np.array([w, -w - 1, -w, -w])
-    return _lockstep(lambda top: h_transform(params, m_max, top)[2:], w, w + ms, step, gen)
+    return _lockstep(ht.steps, w, w + ms, step, gen)
 
 
 def tilted_paths(params: ModelParams, zeta: float, starts, gen: np.random.Generator, m_max: int = 256) -> PathBatch:
@@ -463,15 +397,14 @@ def tilted_paths(params: ModelParams, zeta: float, starts, gen: np.random.Genera
     The chain of :func:`tilted_h_transform` on the lockstep stepper; a
     start state of 0 gives an empty path, one below 0 raises ValueError.
     """
-    table = lambda top: tilted_h_transform(params, zeta, m_max, top)[2:]
-    return _lockstep(table, 1, _start_states(starts), _STATE_STEP, gen)
+    return _lockstep(tilted_h_transform(params, zeta, m_max).steps, 1, _start_states(starts), _STATE_STEP, gen)
 
 
-def sample_conditioned_path(params: ModelParams, m: int, rng, m_max: int = 256) -> MarkedTrajectory:
+def sample_conditioned_path(params: ModelParams, m: int, rng) -> MarkedTrajectory:
     """Exact draw from the trajectory law given M = m, without rejection.
 
     The batch of one of :func:`conditioned_paths`, drawn from the numpy
     generator of the stream's buffer.  Exact for the state-truncated model
     of the offspring tables (truncation defect below 1e-14).
     """
-    return conditioned_paths(params, [m], _as_buffered(rng).generator(), m_max).trajectory(0)
+    return conditioned_paths(params, [m], buffered(rng).generator()).trajectory(0)

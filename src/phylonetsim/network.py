@@ -49,8 +49,8 @@ from .model import (
     MarkedTrajectory,
     conditioned_paths,
 )
-from .params import ModelParams, tables
-from .rng import BufferedRng, RngStream
+from .params import ModelParams
+from .rng import BufferedRng, RngStream, buffered
 
 
 @dataclass
@@ -223,7 +223,7 @@ def build_color_network(params: ModelParams, traj: MarkedTrajectory, rng) -> Col
     """Realize the lineage structure of a color from its marked trajectory."""
     if traj.initial_state != 1:
         raise ValueError("a color starts from a single lineage")
-    buf = rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
+    buf = buffered(rng)
     return _realize([e[1] for e in traj.events], [e[0] for e in traj.events], traj.start_time, buf)
 
 
@@ -234,7 +234,7 @@ def decorate_batch(params: ModelParams, ms, rng) -> list:
     jump chain, then `_realize` assigns each one's lineages from the buffer.
     An m outside the tables' support raises NumericalFailure before any draw.
     """
-    buf = rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
+    buf = buffered(rng)
     paths = conditioned_paths(params, ms, buf.generator())
     times, o = paths.times.tolist(), paths.offsets.tolist()
     return [_realize(paths.kinds[a:b], times[a:b], 0.0, buf) for a, b in zip(o, o[1:])]
@@ -325,7 +325,7 @@ def sample_genealogy_tree(tilted_probs: np.ndarray, n: int, rng: RngStream) -> G
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = rng.generator()
     support, retries = np.arange(len(tilted_probs)), TREE_RETRIES
     for attempt in range(1, retries + 1):
         counts = gen.multinomial(n, tilted_probs)
@@ -531,7 +531,7 @@ class GluedNetwork:
 
     def uniform_point(self, rng) -> PointRef:
         """Point distributed as the normalized length measure."""
-        buf = rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
+        buf = buffered(rng)
         if self._len_cdf is None:
             self._len_cdf = np.cumsum(self.lengths)
             self._seg_cdfs = [
@@ -646,25 +646,12 @@ class GluedNetwork:
         return "".join(out) + ";"
 
 
-def glue(tree: GenealogyTree, decorations: list) -> GluedNetwork:
-    """Assemble the glued network (child roots identified with mutation points)."""
-    return GluedNetwork(tree, decorations)
-
-
 def distance(G: GluedNetwork, a: PointRef, b: PointRef) -> float:
     return G.distance(a, b)
 
 
 def uniform_point(G: GluedNetwork, rng) -> PointRef:
     return G.uniform_point(rng)
-
-
-def tilted_offspring_cached(params: ModelParams):
-    """`analytics.tilted_offspring`, kept in the parameter set's ModelTables."""
-    tab = tables(params)
-    if tab.tilt is None:
-        tab.tilt = analytics.tilted_offspring(params)
-    return tab.tilt
 
 
 def sample_network(params: ModelParams, n: int, rng: RngStream) -> GluedNetwork:
@@ -676,7 +663,7 @@ def sample_network(params: ModelParams, n: int, rng: RngStream) -> GluedNetwork:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    tilt, probs = tilted_offspring_cached(params)
+    tilt, probs = analytics.tilted_offspring(params)
     tree = sample_genealogy_tree(probs, n, rng.substream(0))
     return GluedNetwork(tree, decorate_batch(params, [tree.outdegree(v) for v in range(n)], rng.substream(1)))
 

@@ -33,11 +33,6 @@ class ModelParams:
         return self.alpha + self.mu + (k - 1) * self.beta
 
 
-def rho(params: ModelParams, k: int) -> float:
-    """Functional form of :meth:`ModelParams.rho`."""
-    return params.rho(k)
-
-
 class ModelTables:
     """The per-parameter tables.
 
@@ -47,25 +42,27 @@ class ModelTables:
     and a death within one uniform draw, 1/(1 + rho_k), (1 + mu)/(1 + rho_k)
     and (1 + mu + alpha)/(1 + rho_k), and ``hold[k]`` = 1/(k (1 + rho_k)) is
     the mean holding time.  Column 0 (the absorbing state) is NaN and never
-    read.  The other slots are filled by their owners:
-
-    - ``offspring`` maps (m_max, tol) to ``analytics.offspring_tables``;
-    - ``h`` maps m_max to the ``model.h_transform`` that decorations step by;
-    - ``h_zeta`` maps (zeta, m_max) to the ``model.tilted_h_transform`` that
-      the local-limit samplers step by;
-    - ``tilt`` holds ``analytics.tilted_offspring``;
-    - ``memo`` maps (name, tol) to the result of ``analytics.zeta_tilt`` or
-      ``analytics.malthusian``.
-
-    A typed error is raised again on every call, never kept.
+    read.  ``kept`` holds what the owners build once per parameter set,
+    through :meth:`keep`: the offspring tables, the tilt, the growth rate,
+    the tilted offspring law and the h-transforms.
     """
 
-    __slots__ = ("params", "cum", "hold", "offspring", "h", "h_zeta", "tilt", "memo")
+    __slots__ = ("params", "cum", "hold", "kept")
 
     def __init__(self, params: ModelParams):
         self.params = params
         self.cum, self.hold = np.empty((3, 0)), np.empty(0)
-        self.offspring, self.h, self.h_zeta, self.tilt, self.memo = {}, {}, {}, None, {}
+        self.kept = {}
+
+    def keep(self, key, build):
+        """The result kept under key, built by build() on first use.
+
+        An error of build propagates and nothing is kept, so it is raised
+        again on the next call.
+        """
+        if key not in self.kept:
+            self.kept[key] = build()
+        return self.kept[key]
 
     def rates(self, top: int) -> tuple:
         """The step table (cum, hold), through state top at least."""

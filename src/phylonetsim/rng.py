@@ -52,6 +52,15 @@ class BufferedRng:
         return v
 
     def generator(self) -> np.random.Generator:
-        """The generator behind the buffer, for draws of whole arrays.  It also
-        refills the buffer, so twin buffers making the same calls draw alike."""
+        """The generator behind the buffer, for draws of whole arrays.
+
+        Array draws bypass the buffer: they read the stream past the uniforms
+        already buffered.  So twin buffers that make the same calls in the
+        same order still draw alike.
+        """
         return self._gen
+
+
+def buffered(rng) -> BufferedRng:
+    """rng itself if it is a BufferedRng, else a new buffer on the stream rng."""
+    return rng if isinstance(rng, BufferedRng) else BufferedRng(rng)

@@ -4,7 +4,8 @@ Each check returns a :class:`Check` with the decision, the test statistic
 and its threshold; suites bundle them for the CLI ``verify`` command and
 for the acceptance tests.  Monte Carlo comparisons use 3-standard-error
 bands; distributional comparisons use chi-square / Kolmogorov-Smirnov at
-significance 0.01 (Bonferroni over categories for weighted laws).
+significance ``ALPHA`` = 0.01 (Bonferroni over categories for weighted
+laws).
 Every path is drawn in batches.  Reference samples that need only M, T,
 L or the mutation-time sum of raw runs come from ``model.simulate_batch``;
 checks that read the events of raw runs take them from
@@ -14,7 +15,11 @@ Local-limit checks draw their focal and spinal networks in one batch
 each.  The oracles live here: the pasting of two raw runs
 (:func:`sample_x_mut`) for the M-biased view and the spinal network, and
 the direct network sampler, which grows color trees from raw runs until
-one has n colors, for ``network.sample_network``.
+one has n colors, for ``network.sample_network``.  So do the readers of a
+``model.MarkedTrajectory`` that only checks use (:func:`validate_trajectory`,
+:func:`state_at`, :func:`pre_zero_state`, :func:`mutation_times`) and the
+desk-scale CRT checks on sampled networks (:func:`verify_crt_scaling`).
+No production module imports this one.
 """
 
 from __future__ import annotations
@@ -31,7 +36,9 @@ from scipy import stats
 from . import analytics, limits, model, network
 from .errors import NumericalFailure, RetryBudgetError
 from .params import ModelParams
-from .rng import BufferedRng, RngStream
+from .rng import BufferedRng, RngStream, buffered
+
+ALPHA = 0.01  # significance of every distributional check
 
 
 @dataclass
@@ -52,21 +59,23 @@ class Check:
         }
 
 
-def _three_se(name, v1, se1, v2, se2, k=3.0, detail=None) -> Check:
+def _three_se(name, v1, se1, v2, se2, detail=None) -> Check:
     gap = abs(v1 - v2)
-    band = k * math.hypot(se1, se2)
+    band = 3.0 * math.hypot(se1, se2)
     d = {"value_a": v1, "se_a": se1, "value_b": v2, "se_b": se2}
     if detail:
         d.update(detail)
     return Check(name, gap <= band, gap, band, d)
 
 
-def _pool_tail(counts_list, min_expected=8.0):
-    """Pool trailing categories so every column keeps a workable count."""
+def _pool_tail(counts_list):
+    """Pool trailing categories until the last column's expected count in the
+    smaller sample, column total x smaller row total / grand total, is 8."""
     counts = np.array(counts_list, dtype=float)
     total = counts.sum(axis=0)
+    rows = counts.sum(axis=1)
     keep = counts.shape[1]
-    while keep > 2 and total[keep - 1 :].sum() < min_expected * counts.shape[0]:
+    while keep > 2 and total[keep - 1 :].sum() * rows.min() / rows.sum() < 8.0:
         keep -= 1
     pooled = np.empty((counts.shape[0], keep))
     pooled[:, : keep - 1] = counts[:, : keep - 1]
@@ -74,7 +83,7 @@ def _pool_tail(counts_list, min_expected=8.0):
     return pooled
 
 
-def chi2_two_sample(name, a, b, alpha=0.01, cap=None) -> Check:
+def chi2_two_sample(name, a, b, cap=None) -> Check:
     """Contingency chi-square for two integer-valued samples."""
     hi = max(int(np.max(a)), int(np.max(b))) + 1 if cap is None else cap
     ca = np.bincount(np.minimum(a, hi - 1), minlength=hi)
@@ -82,10 +91,10 @@ def chi2_two_sample(name, a, b, alpha=0.01, cap=None) -> Check:
     table = _pool_tail([ca, cb])
     table = table[:, table.sum(axis=0) > 0]
     chi2, p, dof, _ = stats.chi2_contingency(table)
-    return Check(name, p >= alpha, float(p), alpha, {"chi2": float(chi2), "dof": int(dof)})
+    return Check(name, p >= ALPHA, float(p), ALPHA, {"chi2": float(chi2), "dof": int(dof)})
 
 
-def chi2_vs_expected(name, values, expected_probs, alpha=0.01) -> Check:
+def chi2_vs_expected(name, values, expected_probs) -> Check:
     """Goodness of fit of integer samples against an exact pmf."""
     n = len(values)
     k = len(expected_probs)
@@ -98,7 +107,7 @@ def chi2_vs_expected(name, values, expected_probs, alpha=0.01) -> Check:
         counts[keep - 2] += counts[keep - 1]
         keep -= 1
     chi2, p = stats.chisquare(counts[:keep], exp[:keep])
-    return Check(name, p >= alpha, p, alpha, {"chi2": float(chi2), "bins": int(keep)})
+    return Check(name, p >= ALPHA, p, ALPHA, {"chi2": float(chi2), "bins": int(keep)})
 
 
 def _weighted_props(values, weights, n_cats):
@@ -123,19 +132,20 @@ def _ess(w) -> float:
     return float(w.sum() ** 2 / (w * w).sum())
 
 
-def weighted_two_sample(name, va, wa, vb, wb, alpha=0.01, n_cats=None, min_eff=15.0) -> Check:
-    """Bonferroni max-z comparison of two weighted categorical samples."""
+def weighted_two_sample(name, va, wa, vb, wb, n_cats=None) -> Check:
+    """Bonferroni max-z comparison of two weighted categorical samples, over
+    the categories with an effective count of at least 15 in both."""
     if n_cats is None:
         n_cats = int(max(np.max(va), np.max(vb))) + 1
     pa, sa = _weighted_props(va, wa, n_cats)
     pb, sb = _weighted_props(vb, wb, n_cats)
     ess_a, ess_b = _ess(wa), _ess(wb)
     se = np.hypot(sa, sb)
-    use = (se > 0) & (pa * ess_a >= min_eff) & (pb * ess_b >= min_eff)
+    use = (se > 0) & (pa * ess_a >= 15.0) & (pb * ess_b >= 15.0)
     if not use.any():
         return Check(name, False, math.inf, 0.0, {"cats": 0})
     z = np.max(np.abs(pa[use] - pb[use]) / se[use])
-    z_crit = stats.norm.ppf(1.0 - alpha / (2 * int(use.sum())))
+    z_crit = stats.norm.ppf(1.0 - ALPHA / (2 * int(use.sum())))
     return Check(name, z <= z_crit, float(z), float(z_crit), {"cats": int(use.sum())})
 
 
@@ -211,13 +221,64 @@ def raw_runs(params: ModelParams, n: int, gen: np.random.Generator):
         yield model.plain_paths(params, np.ones(min(RUN_BLOCK, n - lo), dtype=np.int64), gen)
 
 
-def check_trajectory_wellformed(param_sets, seed=1, n_paths=10_000) -> Check:
+def validate_trajectory(tr: model.MarkedTrajectory) -> None:
+    """Raise ValueError if any trajectory invariant is violated."""
+    t, s = tr.start_time, tr.initial_state
+    if s < 1:
+        raise ValueError("initial state must be >= 1")
+    for i, (u, kind, s_after) in enumerate(tr.events):
+        if u <= t and not (i == 0 and u >= t):
+            raise ValueError(f"event times not strictly increasing at index {i}")
+        step = s_after - s
+        if kind == model.BIRTH and step != 1:
+            raise ValueError(f"birth with step {step} at index {i}")
+        if kind in model.DOWN_KINDS and step != -1:
+            raise ValueError(f"{kind} with step {step} at index {i}")
+        if kind not in model.DOWN_KINDS and kind != model.BIRTH:
+            raise ValueError(f"unknown event kind {kind!r}")
+        if s_after < 0:
+            raise ValueError("state went negative")
+        if s_after == 0 and i != len(tr.events) - 1:
+            raise ValueError("state hit 0 before the last event")
+        t, s = u, s_after
+    if tr.events and tr.events[-1][2] != 0:
+        raise ValueError("trajectory does not end at 0")
+
+
+def state_at(tr: model.MarkedTrajectory, t: float) -> int:
+    """State of the right-continuous path at time t."""
+    if t < tr.start_time:
+        raise ValueError(f"t={t} before start of domain {tr.start_time}")
+    s = tr.initial_state
+    for u, _, s_after in tr.events:
+        if u > t:
+            break
+        s = s_after
+    return s
+
+
+def pre_zero_state(tr: model.MarkedTrajectory) -> int:
+    """Left limit of the state at time 0 (state after the last t<0 event)."""
+    s = tr.initial_state
+    for u, _, s_after in tr.events:
+        if u >= 0.0:
+            break
+        s = s_after
+    return s
+
+
+def mutation_times(tr: model.MarkedTrajectory) -> list:
+    return [e[0] for e in tr.events if e[1] == model.MUTATION]
+
+
+def check_trajectory_wellformed(param_sets, seed=1) -> Check:
+    """10 000 raw runs, shared out evenly over the parameter sets, each well formed."""
     bad = 0
     for j, params in enumerate(param_sets):
-        for batch in raw_runs(params, n_paths // len(param_sets), RngStream(seed, j).generator()):
+        for batch in raw_runs(params, 10_000 // len(param_sets), RngStream(seed, j).generator()):
             for i in range(batch.offsets.size - 1):
                 try:
-                    batch.trajectory(i).validate()
+                    validate_trajectory(batch.trajectory(i))
                 except ValueError:
                     bad += 1
     return Check("trajectory_wellformed", bad == 0, float(bad), 0.0)
@@ -240,15 +301,15 @@ def check_first_event_law(params: ModelParams, seed=2, n=40_000) -> list:
     return [c1, c2]
 
 
-def check_rate_consistency(params: ModelParams, seed=3, n=60_000, alpha=0.01, max_state=4) -> list:
-    """Per-state event-kind frequencies against the transition-rate split."""
-    counts = np.zeros((max_state + 1, 4))
+def check_rate_consistency(params: ModelParams, seed=3, n=60_000) -> list:
+    """Per-state event-kind frequencies against the transition-rate split, in states 1 to 4."""
+    counts = np.zeros((5, 4))
     for batch in raw_runs(params, n, RngStream(seed).generator()):
         ev = path_events(batch)
-        low = ev.before <= max_state
+        low = ev.before <= 4
         counts += np.bincount(4 * ev.before[low] + ev.kind[low], minlength=counts.size).reshape(counts.shape)
     checks = []
-    for k in range(1, max_state + 1):
+    for k in range(1, 5):
         rho = params.rho(k)
         probs = np.array(
             [1.0, params.mu, params.alpha, (k - 1) * params.beta]
@@ -257,7 +318,7 @@ def check_rate_consistency(params: ModelParams, seed=3, n=60_000, alpha=0.01, ma
         use = probs > 0
         chi2, p = stats.chisquare(obs[use], obs.sum() * probs[use] / probs[use].sum())
         checks.append(
-            Check(f"rate_consistency_state_{k}", p >= alpha, float(p), alpha, {"chi2": float(chi2)})
+            Check(f"rate_consistency_state_{k}", p >= ALPHA, float(p), ALPHA, {"chi2": float(chi2)})
         )
     return checks
 
@@ -269,13 +330,14 @@ def check_mean_M(params: ModelParams, seed=4, n=100_000) -> Check:
     return _three_se("mean_M", float(ms.mean()), float(ms.std()) / math.sqrt(n), target, 0.0)
 
 
-def check_measure_change(params: ModelParams, seed=5, n=100_000, s_values=(0.5, 0.9)) -> list:
-    """E_mu[s^M] against E_{s mu}[e^{(s-1) mu L}], overlapping 3-SE intervals.
+def check_measure_change(params: ModelParams, seed=5, n=100_000) -> list:
+    """E_mu[s^M] against E_{s mu}[e^{(s-1) mu L}] at s = 0.5 and 0.9,
+    overlapping 3-SE intervals.
 
     Both sides are n batched runs, on streams (seed, 2j) and (seed, 2j + 1).
     """
     checks = []
-    for j, s in enumerate(s_values):
+    for j, s in enumerate((0.5, 0.9)):
         a = s ** model.simulate_batch(params, 1, n, RngStream(seed, 2 * j)).M
         tilted = ModelParams(params.alpha, params.beta, s * params.mu)
         L = model.simulate_batch(tilted, 1, n, RngStream(seed, 2 * j + 1)).L
@@ -362,7 +424,7 @@ def resample_negative_kinds(traj: model.MarkedTrajectory, params: ModelParams, r
     (mutation mu/rho_k, death alpha/rho_k, else coalescence, k = state
     before the jump); up-jumps are births.  Events at t >= 0 are untouched.
     """
-    buf = rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
+    buf = buffered(rng)
     events = []
     s = traj.initial_state
     for t, kind, s_after in traj.events:
@@ -401,7 +463,7 @@ def sample_x_mut(params: ModelParams, n: int, rng) -> list:
     ``model.plain_paths`` batch.  The oracle of the M-biased view and, at
     zeta = 1, of the spinal network.
     """
-    buf = rng if isinstance(rng, BufferedRng) else BufferedRng(rng)
+    buf = buffered(rng)
     K = sample_nu_circ(params, n, buf.generator())
     runs = model.plain_paths(params, np.concatenate([K, K - 1]), buf.generator())
     return [
@@ -412,22 +474,22 @@ def sample_x_mut(params: ModelParams, n: int, rng) -> list:
     ]
 
 
-def check_x_mut_equivalence(params: ModelParams, seed=7, n=20_000, alpha=0.01) -> list:
+def check_x_mut_equivalence(params: ModelParams, seed=7, n=20_000) -> list:
     """sample_x_mut against independent M-biased views: K, M and duration laws."""
     K_ref, U_ref, M_ref, D_ref = sample_m_biased_view(params, RngStream(seed, 0), n)
     trs = sample_x_mut(params, n, RngStream(seed, 1))
-    K_s = np.array([tr.pre_zero_state() for tr in trs])
+    K_s = np.array([pre_zero_state(tr) for tr in trs])
     M_s = np.array([tr.M for tr in trs])
     D_s = np.array([tr.T for tr in trs])
     U_s = np.array([-tr.start_time for tr in trs])
     checks = [
-        chi2_two_sample("x_mut_K_law", K_ref, K_s, alpha),
-        chi2_two_sample("x_mut_M_law", M_ref, M_s, alpha),
+        chi2_two_sample("x_mut_K_law", K_ref, K_s),
+        chi2_two_sample("x_mut_M_law", M_ref, M_s),
     ]
     ks, p = stats.ks_2samp(D_ref, D_s)
-    checks.append(Check("x_mut_duration_law", p >= alpha, float(p), alpha, {"ks": float(ks)}))
+    checks.append(Check("x_mut_duration_law", p >= ALPHA, float(p), ALPHA, {"ks": float(ks)}))
     ks_u, p_u = stats.ks_2samp(U_ref, U_s)
-    checks.append(Check("x_mut_mutation_time_law", p_u >= alpha, float(p_u), alpha, {"ks": float(ks_u)}))
+    checks.append(Check("x_mut_mutation_time_law", p_u >= ALPHA, float(p_u), ALPHA, {"ks": float(ks_u)}))
     return checks
 
 
@@ -493,13 +555,14 @@ def check_enclosure_soundness(params: ModelParams) -> list:
     return checks
 
 
-def check_convergent_gap(params: ModelParams, depths=(4, 8, 12, 16, 20, 24)) -> list:
-    """Sup gap over a z-grid: decreasing in depth and below the product majorant."""
+def check_convergent_gap(params: ModelParams) -> list:
+    """Sup gap over a z-grid at depths 4 to 24: decreasing in depth and below
+    the product majorant."""
     zs = np.linspace(0.0, 1.0, 11)
     sups = []
     ok_major = True
     ok_order = True
-    for n in depths:
+    for n in (4, 8, 12, 16, 20, 24):
         gap = 0.0
         for z in zs:
             lo, hi = analytics.convergent_pair(params, float(z), n)
@@ -515,29 +578,29 @@ def check_convergent_gap(params: ModelParams, depths=(4, 8, 12, 16, 20, 24)) -> 
     ]
 
 
-def check_tilt_consistency(params: ModelParams, tol=1e-8) -> Check:
+def check_tilt_consistency(params: ModelParams) -> Check:
     t = analytics.zeta_tilt(params, tol=1e-12)
     g = analytics.g_eval(params, t.zeta, tol=1e-14).midpoint
     g1 = analytics.g_derivatives(params, t.zeta, 1, tol=1e-12).midpoint
     resid = abs(t.zeta * g1 / g - 1.0)
-    return Check("tilt_phi_residual", resid <= tol, resid, tol, {"zeta": t.zeta})
+    return Check("tilt_phi_residual", resid <= 1e-8, resid, 1e-8, {"zeta": t.zeta})
 
 
-def check_pmf_pgf_duality(params: ModelParams, m_max=60) -> Check:
-    pmf = analytics.offspring_pmf(params, m_max, tol=1e-13)
+def check_pmf_pgf_duality(params: ModelParams) -> Check:
+    pmf = analytics.offspring_pmf(params, 60, tol=1e-13)
     worst = 0.0
     for z in (0.0, 0.3, 0.7, 1.0):
-        series = float(np.power(z, np.arange(m_max + 1)) @ pmf.probs)
+        series = float(np.power(z, np.arange(61)) @ pmf.probs)
         g = analytics.g_eval(params, z, tol=1e-13)
         worst = max(worst, abs(series - g.midpoint))
     thr = 10 * (pmf.tail_bound + 1e-12)
     return Check("pmf_pgf_duality", worst <= thr, worst, thr)
 
 
-def check_nu_stationarity(params: ModelParams, kmax=30) -> Check:
-    """nu_circ(n) proportional to n * pi_n with pi_i ~ i^{-1} prod 1/rho_k."""
+def check_nu_stationarity(params: ModelParams) -> Check:
+    """nu_circ(n) proportional to n * pi_n with pi_i ~ i^{-1} prod 1/rho_k, for n <= 30."""
     nu = analytics.nu_circ_pmf(params, tol=1e-14)
-    kmax = min(kmax, nu.probs.size)
+    kmax = min(30, nu.probs.size)
     pi = np.empty(kmax)
     w = 1.0
     for i in range(1, kmax + 1):
@@ -549,7 +612,7 @@ def check_nu_stationarity(params: ModelParams, kmax=30) -> Check:
     return Check("nu_circ_stationarity", worst <= 1e-12, worst, 1e-12)
 
 
-def check_extinction(params: ModelParams, tol=1e-8) -> list:
+def check_extinction(params: ModelParams) -> list:
     em = analytics.expected_M(params).midpoint
     pe = analytics.extinction_probability(params, tol=1e-10)
     checks = []
@@ -568,22 +631,20 @@ def check_extinction(params: ModelParams, tol=1e-8) -> list:
         )
         g = analytics.g_eval(params, pe.midpoint, tol=1e-12)
         resid = abs(g.midpoint - pe.midpoint)
-        checks.append(Check("extinction_fixed_point", resid <= tol, resid, tol))
+        checks.append(Check("extinction_fixed_point", resid <= 1e-8, resid, 1e-8))
     return checks
 
 
-def check_growth_rate_signs(param_grid=None) -> Check:
-    if param_grid is None:
-        param_grid = [
-            ModelParams(1.0, 1.0, 1.0),
-            ModelParams(0.2, 0.2, 0.2),
-            ModelParams(0.5, 0.3, 0.4),
-            ModelParams(0.1, 0.5, 0.8),
-            ModelParams(0.3, 1.5, 2.0),
-        ]
+def check_growth_rate_signs() -> Check:
     ok = True
     details = []
-    for p in param_grid:
+    for p in (
+        ModelParams(1.0, 1.0, 1.0),
+        ModelParams(0.2, 0.2, 0.2),
+        ModelParams(0.5, 0.3, 0.4),
+        ModelParams(0.1, 0.5, 0.8),
+        ModelParams(0.3, 1.5, 2.0),
+    ):
         em = analytics.expected_M(p).midpoint
         lam = analytics.malthusian(p)
         agree = (lam > 0) == (em > 1.0) if abs(em - 1.0) > 1e-9 else abs(lam) < 1e-6
@@ -592,9 +653,10 @@ def check_growth_rate_signs(param_grid=None) -> Check:
     return Check("growth_rate_sign", ok, 0.0, 0.0, {"grid": details})
 
 
-def check_critical_identities(alpha=0.2, beta=0.2, tol=1e-8) -> list:
-    mu_c = analytics.critical_mu(alpha, beta)
-    p = ModelParams(alpha, beta, mu_c)
+def check_critical_identities() -> list:
+    """Growth rate 0 and tilt 1 at the critical mu of alpha = beta = 0.2."""
+    mu_c = analytics.critical_mu(0.2, 0.2)
+    p = ModelParams(0.2, 0.2, mu_c)
     lam = analytics.malthusian(p, tol=1e-10)
     t = analytics.zeta_tilt(p, tol=1e-10)
     return [
@@ -603,10 +665,10 @@ def check_critical_identities(alpha=0.2, beta=0.2, tol=1e-8) -> list:
     ]
 
 
-def check_laplace_mc(params: ModelParams, seed=9, n=50_000, lam=1.0) -> Check:
-    """E_1[e^{-lam T}] over n batched runs against the certified laplace_f."""
-    vals = np.exp(-lam * model.simulate_batch(params, 1, n, RngStream(seed)).T)
-    target = analytics.laplace_f(params, 1, lam, tol=1e-12).midpoint
+def check_laplace_mc(params: ModelParams, seed=9, n=50_000) -> Check:
+    """E_1[e^{-T}] over n batched runs against the certified laplace_f at lam = 1."""
+    vals = np.exp(-model.simulate_batch(params, 1, n, RngStream(seed)).T)
+    target = analytics.laplace_f(params, 1, 1.0, tol=1e-12).midpoint
     return _three_se(
         "laplace_f_mc", float(vals.mean()), float(vals.std()) / math.sqrt(n), target, 0.0
     )
@@ -641,10 +703,10 @@ def check_malthusian_mc(params: ModelParams, seed=10, n=100_000) -> Check:
     )
 
 
-def check_pgf_state_mc(params: ModelParams, seed=11, n=50_000, k=3, z=0.7) -> Check:
-    """E_k[z^M] over n batched runs from state k against pgf_from_state."""
-    vals = z ** model.simulate_batch(params, k, n, RngStream(seed)).M
-    target = analytics.pgf_from_state(params, k, z, tol=1e-12).midpoint
+def check_pgf_state_mc(params: ModelParams, seed=11, n=50_000) -> Check:
+    """E_3[0.7^M] over n batched runs from state 3 against pgf_from_state."""
+    vals = 0.7 ** model.simulate_batch(params, 3, n, RngStream(seed)).M
+    target = analytics.pgf_from_state(params, 3, 0.7, tol=1e-12).midpoint
     return _three_se(
         "pgf_from_state_mc", float(vals.mean()), float(vals.std()) / math.sqrt(n), target, 0.0
     )
@@ -734,7 +796,7 @@ def check_decoration_consistency(params: ModelParams, seed=13, n_samples=300) ->
             ok &= len(dec.alive_at(mid)) == s
             t_prev, s = t, s_after
         ok &= len(dec.mutation_points) == tr.M == m
-        ok &= [mp[1] for mp in dec.mutation_points] == tr.mutation_times()
+        ok &= [mp[1] for mp in dec.mutation_points] == mutation_times(tr)
         worst = max(worst, abs(dec.total_length - tr.L))
     return Check("decoration_consistency", ok and worst <= 1e-9, worst, 1e-9)
 
@@ -777,9 +839,9 @@ def _rejection_genealogy_tree(tilted_probs: np.ndarray, n: int, rng: RngStream):
     raise RetryBudgetError("rejection sampler exhausted retries", max_retries, 1.0 / max_retries)
 
 
-def check_genealogy_methods(params: ModelParams, seed=15, n=6, n_samples=20_000, alpha=0.01) -> list:
+def check_genealogy_methods(params: ModelParams, seed=15, n=6, n_samples=20_000) -> list:
     """Cycle-lemma tree sampler against the rejection oracle, on (height, max outdegree)."""
-    _, probs = network.tilted_offspring_cached(params)
+    _, probs = analytics.tilted_offspring(params)
     stats_a = np.empty((n_samples, 2), dtype=int)
     stats_b = np.empty((n_samples, 2), dtype=int)
     for i in range(n_samples):
@@ -793,7 +855,7 @@ def check_genealogy_methods(params: ModelParams, seed=15, n=6, n_samples=20_000,
     cats = {v: i for i, v in enumerate(sorted(set(joint_a) | set(joint_b)))}
     a = np.array([cats[v] for v in joint_a])
     b = np.array([cats[v] for v in joint_b])
-    return [chi2_two_sample("genealogy_cycle_vs_rejection", a, b, alpha)]
+    return [chi2_two_sample("genealogy_cycle_vs_rejection", a, b)]
 
 
 def _direct_network(params: ModelParams, n: int, rng: RngStream):
@@ -825,7 +887,7 @@ def _direct_network(params: ModelParams, n: int, rng: RngStream):
     raise RetryBudgetError(f"direct sampler missed n={n} colors", max_retries, 1.0 / max_retries)
 
 
-def check_tilted_vs_direct(params: ModelParams, seed=16, n=4, n_samples=4000, alpha=0.01) -> list:
+def check_tilted_vs_direct(params: ModelParams, seed=16, n=4, n_samples=4000) -> list:
     """`network.sample_network` against the direct oracle, on |G| and the tree shape."""
     sizes_t = np.empty(n_samples)
     sizes_d = np.empty(n_samples)
@@ -843,8 +905,8 @@ def check_tilted_vs_direct(params: ModelParams, seed=16, n=4, n_samples=4000, al
     a = np.array([cats[v] for v in shape_t])
     b = np.array([cats[v] for v in shape_d])
     return [
-        Check("tilted_vs_direct_size_ks", p >= alpha, float(p), alpha, {"ks": float(ks)}),
-        chi2_two_sample("tilted_vs_direct_tree_shape", a, b, alpha),
+        Check("tilted_vs_direct_size_ks", p >= ALPHA, float(p), ALPHA, {"ks": float(ks)}),
+        chi2_two_sample("tilted_vs_direct_tree_shape", a, b),
     ]
 
 
@@ -944,9 +1006,10 @@ def check_glue_recount(params: ModelParams, seed=18, n=25) -> list:
     ]
 
 
-def check_dwass_small_n(params: ModelParams, seed=19, n_samples=100_000, n_max=8) -> Check:
-    """Exact Dwass convolution against GW(M-hat) size frequencies for n <= n_max."""
-    _, probs = network.tilted_offspring_cached(params)
+def check_dwass_small_n(params: ModelParams, seed=19, n_samples=100_000) -> Check:
+    """Exact Dwass convolution against GW(M-hat) size frequencies for n <= 8."""
+    n_max = 8
+    _, probs = analytics.tilted_offspring(params)
     gen = RngStream(seed).generator()
     cdf = np.cumsum(probs)
     counts = np.zeros(n_max + 2)
@@ -972,7 +1035,7 @@ def check_dwass_small_n(params: ModelParams, seed=19, n_samples=100_000, n_max=8
     return Check("dwass_small_n", ok, worst, 3.0, details)
 
 
-def check_uniform_point(params: ModelParams, seed=20, n=25, n_points=40_000, alpha=0.01) -> list:
+def check_uniform_point(params: ModelParams, seed=20, n=25, n_points=40_000) -> list:
     G = network.sample_network(params, n, RngStream(seed))
     rng = RngStream(seed, 123_456)
     vs = np.empty(n_points, dtype=int)
@@ -987,16 +1050,18 @@ def check_uniform_point(params: ModelParams, seed=20, n=25, n_points=40_000, alp
         if x.vertex == target[0] and x.lineage == target[1]:
             offs.append(x.offset / target[2])
     probs = np.asarray(G.lengths) / G.total_length
-    c1 = chi2_vs_expected("uniform_point_color_freq", vs, probs, alpha)
+    c1 = chi2_vs_expected("uniform_point_color_freq", vs, probs)
     ks, p = stats.kstest(np.asarray(offs), "uniform")
-    c2 = Check("uniform_point_offset_uniform", p >= alpha, float(p), alpha, {"n": len(offs)})
+    c2 = Check("uniform_point_offset_uniform", p >= ALPHA, float(p), ALPHA, {"n": len(offs)})
     p_root = float(np.mean(vs == 0))
     se = math.sqrt(p_root * (1 - p_root) / n_points)
     c3 = _three_se("uniform_point_root_mass", p_root, se, float(probs[0]), 0.0)
     return [c1, c2, c3]
 
 
-def check_contour(params: ModelParams, seed=21, n=12, grid=2048) -> list:
+def check_contour(params: ModelParams, seed=21, n=12) -> list:
+    """The contour on a grid of 2048 points: its start, increments and maximum."""
+    grid = 2048
     G = network.sample_network(params, n, RngStream(seed))
     ts, hs, cols = network.contour(G, RngStream(seed, 7), grid)
     c1 = Check("contour_starts_at_root", hs[0] == 0.0 and np.all(hs >= 0.0), float(hs[0]), 0.0)
@@ -1029,6 +1094,86 @@ def network_suite(params: ModelParams, seed: int = 42, scale: float = 1.0) -> li
 
 
 # -- crt suite ---------------------------------------------------------------
+
+
+# E[sup of the standard Brownian excursion] = sqrt(pi/2) (Kennedy 1976,
+# J. Appl. Probab. 13).
+EXCURSION_SUP_MEAN = math.sqrt(math.pi / 2.0)
+
+
+def _crt_replicate(args):
+    params, n, seed, stream_id, path, eu = args
+    rng = RngStream(seed, stream_id, tuple(path))
+    G = network.sample_network(params, n, rng.substream(0))
+    ts, hs, cols = network.contour(G, rng.substream(1), 1024)
+    depths = np.asarray(G.tree.depths(), dtype=float)
+    ht = eu * depths[cols]
+    return (
+        G.total_length / n,
+        G.max_height() / math.sqrt(n),
+        float(np.max(np.abs(hs - ht))) / math.sqrt(n),
+        float(np.corrcoef(hs, ht)[0, 1]),
+    )
+
+
+def verify_crt_scaling(
+    params: ModelParams,
+    n: int,
+    replicates: int,
+    rng: RngStream,
+    constants: limits.CrtConstants | None = None,
+    workers: int = 1,
+) -> dict:
+    """Desk-scale CRT checks on n-color networks.
+
+    Reports (a) mean |G_n|/n against ell, (b) rescaled mean maximum height
+    against (2 E[U*]/sigma_hat) E[sup e] with E[sup e] = sqrt(pi/2), and
+    (c) the correlation and rescaled sup deviation between the network
+    height process and E[U*] times the color-tree height process, on a
+    contour grid of 1024 points.  Replicates use one stream
+    each and are reduced in stream order, so results do not depend on the
+    worker count.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if constants is None:
+        constants = limits.crt_constants(params, rng.substream(900_001), n_samples=50_000)
+    eu = constants.EUstar.value
+    sig = math.sqrt(constants.sigma_hat_sq)
+    base = rng.substream(900_003)
+    jobs = [
+        (params, n, base.seed, base.stream_id, base.path + (i,), eu)
+        for i in range(replicates)
+    ]
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_crt_replicate, jobs, chunksize=max(1, replicates // (4 * workers))))
+    else:
+        results = [_crt_replicate(j) for j in jobs]
+    sizes = np.array([r[0] for r in results])
+    maxh = np.array([r[1] for r in results])
+    supdev = np.array([r[2] for r in results])
+    corr = np.array([r[3] for r in results])
+    mean_size = limits.Estimate(
+        float(sizes.mean()), float(sizes.std()) / math.sqrt(replicates), replicates
+    )
+    mean_maxh = limits.Estimate(float(maxh.mean()), float(maxh.std()) / math.sqrt(replicates), replicates)
+    target_maxh = 2.0 * eu / sig * EXCURSION_SUP_MEAN
+    return {
+        "n": n,
+        "replicates": replicates,
+        "mean_size_per_color": mean_size.to_json_dict(),
+        "ell": constants.ell.to_json_dict(),
+        "size_check_passed": mean_size.overlaps(constants.ell),
+        "mean_max_height_rescaled": mean_maxh.to_json_dict(),
+        "max_height_target": target_maxh,
+        "max_height_rel_err": abs(mean_maxh.value - target_maxh) / target_maxh,
+        "mean_sup_deviation_rescaled": float(supdev.mean()),
+        "sup_deviation_se": float(supdev.std()) / math.sqrt(replicates),
+        "mean_height_correlation": float(corr.mean()),
+    }
 
 
 def crt_suite(
@@ -1072,7 +1217,7 @@ def crt_suite(
             1e-12,
         )
     )
-    report = limits.verify_crt_scaling(
+    report = verify_crt_scaling(
         params, n, replicates, RngStream(seed, 3), constants=cc, workers=workers
     )
     ms = report["mean_size_per_color"]
@@ -1085,7 +1230,7 @@ def crt_suite(
             cc.ell.std_error,
         )
     )
-    maxh_report = limits.verify_crt_scaling(
+    maxh_report = verify_crt_scaling(
         params, maxh_n, maxh_reps, RngStream(seed, 4), constants=cc, workers=workers
     )
     checks.append(
@@ -1102,7 +1247,7 @@ def crt_suite(
     )
     supdevs = []
     for nn, reps in zip(trend_ns, trend_reps):
-        rep = limits.verify_crt_scaling(
+        rep = verify_crt_scaling(
             params, nn, reps, RngStream(seed, 100 + nn), constants=cc, workers=workers
         )
         supdevs.append(rep["mean_sup_deviation_rescaled"])
@@ -1116,7 +1261,7 @@ def crt_suite(
             {"n_values": list(trend_ns), "sup_devs": supdevs},
         )
     )
-    _, probs = network.tilted_offspring_cached(params)
+    _, probs = analytics.tilted_offspring(params)
     ratios = []
     for nn in (250, 500, 1000, 2000):
         v, err = limits.gw_size_probability(probs, nn)
@@ -1159,7 +1304,7 @@ def _focal_reference(params: ModelParams, zeta: float, seed, n):
     return runs.M, runs.L * zeta**runs.M
 
 
-def check_focal_sampler(params: ModelParams, seed=23, n=30_000, alpha=0.01) -> list:
+def check_focal_sampler(params: ModelParams, seed=23, n=30_000) -> list:
     """Focal-network N law against prob_N, and its M law against n batched raw
     runs weighted by L zeta^M; the n draws come from one batch."""
     zeta = analytics.zeta_tilt(params).zeta
@@ -1170,16 +1315,16 @@ def check_focal_sampler(params: ModelParams, seed=23, n=30_000, alpha=0.01) -> l
     tab = limits.prob_N_table(params, zeta)
     kcap = 8
     probs = np.concatenate([tab[: kcap - 1], [1.0 - tab[: kcap - 1].sum()]])
-    c1 = chi2_vs_expected("focal_N_law", Ns - 1, probs, alpha)
+    c1 = chi2_vs_expected("focal_N_law", Ns - 1, probs)
     m_ref, w_ref = _focal_reference(params, zeta, seed * 31 + 1, n)
     mcap = int(max(Ms.max(), m_ref.max())) + 1
-    c2 = weighted_two_sample("focal_M_law", Ms, np.ones(n), m_ref, w_ref, alpha, n_cats=min(mcap, 12))
+    c2 = weighted_two_sample("focal_M_law", Ms, np.ones(n), m_ref, w_ref, n_cats=min(mcap, 12))
     neg = all(net.birth_time[0] < 0 for net in limits.focal_network_batch(params, zeta, 50, buf))
     c3 = Check("focal_root_time_negative", neg, 0.0, 0.0)
     return [c1, c2, c3]
 
 
-def check_spinal_sampler(params: ModelParams, seed=24, n=30_000, alpha=0.01) -> list:
+def check_spinal_sampler(params: ModelParams, seed=24, n=30_000) -> list:
     """Spinal-network M law against n batched raw runs weighted by M zeta^M,
     and its pre-0 state law at zeta = 1 against sample_x_mut."""
     zeta = analytics.zeta_tilt(params).zeta
@@ -1196,12 +1341,12 @@ def check_spinal_sampler(params: ModelParams, seed=24, n=30_000, alpha=0.01) -> 
     m_ref = model.simulate_batch(params, 1, n, RngStream(seed, 1)).M
     w_ref = m_ref * zeta**m_ref
     mcap = int(max(Ms.max(), m_ref.max())) + 1
-    c1 = weighted_two_sample("spinal_M_law", Ms, np.ones(n), m_ref, w_ref, alpha, n_cats=min(mcap, 12))
+    c1 = weighted_two_sample("spinal_M_law", Ms, np.ones(n), m_ref, w_ref, n_cats=min(mcap, 12))
     # at zeta = 1 the pre-0 state law is exactly the one of sample_x_mut
     nets = limits.spinal_network_batch(params, 1.0, 8000, BufferedRng(RngStream(seed, 2)))
-    k_spinal = np.array([net.trajectory.pre_zero_state() for net in nets])
-    k_xmut = np.array([tr.pre_zero_state() for tr in sample_x_mut(params, 8000, RngStream(seed, 3))])
-    c2 = chi2_two_sample("spinal_K_matches_x_mut_at_zeta1", k_spinal, k_xmut, alpha)
+    k_spinal = np.array([pre_zero_state(net.trajectory) for net in nets])
+    k_xmut = np.array([pre_zero_state(tr) for tr in sample_x_mut(params, 8000, RngStream(seed, 3))])
+    c2 = chi2_two_sample("spinal_K_matches_x_mut_at_zeta1", k_spinal, k_xmut)
     return [c0, c1, c2]
 
 
@@ -1228,7 +1373,7 @@ def check_local_ball(params: ModelParams, seed=25, n=2000) -> list:
 
 
 def check_finite_n_local(
-    params: ModelParams, seed=26, n=2000, n_networks=300, alpha=0.01, ball_samples=20_000
+    params: ModelParams, seed=26, n=2000, n_networks=300, ball_samples=20_000
 ) -> list:
     """Finite-n law around a uniform point against prob_N and the focal sampler."""
     tilt = analytics.zeta_tilt(params)
@@ -1242,22 +1387,22 @@ def check_finite_n_local(
         x = G.uniform_point(rng.substream(1))
         dec = G.decorations[x.vertex]
         t_abs = dec.birth_time[x.lineage] + x.offset
-        Ns[i] = dec.trajectory.state_at(t_abs)
+        Ns[i] = state_at(dec.trajectory, t_abs)
         out_deg[i] = G.tree.outdegree(x.vertex)
         t_since[i] = t_abs - dec.trajectory.start_time
     tab = limits.prob_N_table(params, zeta)
     kcap = 6
     probs = np.concatenate([tab[: kcap - 1], [1.0 - tab[: kcap - 1].sum()]])
-    c1 = chi2_vs_expected("finite_n_N_law", Ns - 1, probs, alpha)
+    c1 = chi2_vs_expected("finite_n_N_law", Ns - 1, probs)
     # focal outdegree law from the limit sampler, in one batch
     nets = limits.focal_network_batch(params, zeta, ball_samples, BufferedRng(RngStream(seed, 10_000_000)))
     Md = np.array([len(net.mutation_points) for net in nets])
     mcap = 8
-    c2 = chi2_two_sample("finite_n_focal_outdegree", out_deg, Md, alpha, cap=mcap)
+    c2 = chi2_two_sample("finite_n_focal_outdegree", out_deg, Md, cap=mcap)
     return [c1, c2]
 
 
-def check_time_since_mutation(params: ModelParams, seed=27, n_networks=300, n=2000, alpha=0.01, n_mc=40_000) -> Check:
+def check_time_since_mutation(params: ModelParams, seed=27, n_networks=300, n=2000, n_mc=40_000) -> Check:
     """Joint (N, dyadic time bin) law around a uniform point against the
     nu_circ decomposition (conditional on N=k the elapsed time is the
     zeta^M-biased absorption time from state k, drawn as n_mc batched runs).
@@ -1276,7 +1421,7 @@ def check_time_since_mutation(params: ModelParams, seed=27, n_networks=300, n=20
         x = G.uniform_point(rng.substream(1))
         dec = G.decorations[x.vertex]
         t_abs = dec.birth_time[x.lineage] + x.offset
-        ks.append(dec.trajectory.state_at(t_abs))
+        ks.append(state_at(dec.trajectory, t_abs))
         ts.append(t_abs - dec.trajectory.start_time)
     ks = np.asarray(ks)
     ts = np.asarray(ts)
@@ -1301,7 +1446,7 @@ def check_time_since_mutation(params: ModelParams, seed=27, n_networks=300, n=20
             if se > 0:
                 worst = max(worst, abs(emp - target) / se)
                 n_cells += 1
-    z_crit = stats.norm.ppf(1.0 - alpha / (2 * n_cells)) if n_cells else 3.0
+    z_crit = stats.norm.ppf(1.0 - ALPHA / (2 * n_cells)) if n_cells else 3.0
     return Check("time_since_mutation_law", worst <= z_crit, worst, float(z_crit), {"cells": n_cells})
 
 

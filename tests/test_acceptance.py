@@ -141,7 +141,7 @@ def test_criterion_06_path_decomposition():
 def test_criterion_07_dwass_and_size_asymptotics(crt_cc):
     t0 = time.perf_counter()
     small = verify.check_dwass_small_n(P111, seed=SEED + 7, n_samples=100_000)
-    _, probs = network.tilted_offspring_cached(P111)
+    _, probs = analytics.tilted_offspring(P111)
     ratios = []
     for n in (250, 500, 1000, 2000):
         v, _ = limits.gw_size_probability(probs, n)
@@ -173,20 +173,20 @@ def test_criterion_08_network_samplers():
 
 def test_criterion_09_crt_scale(crt_cc):
     ok_dual = crt_cc.EUstar.overlaps(crt_cc.EUstar_formula)
-    rep500 = limits.verify_crt_scaling(
+    rep500 = verify.verify_crt_scaling(
         P111, 500, 1000, RngStream(SEED, 11), constants=crt_cc, workers=4
     )
     ms = rep500["mean_size_per_color"]
     gap = abs(ms["value"] - crt_cc.ell.value)
     band = 3.0 * math.hypot(ms["std_error"], crt_cc.ell.std_error)
     ok_size = gap <= band
-    rep2000 = limits.verify_crt_scaling(
+    rep2000 = verify.verify_crt_scaling(
         P111, 2000, 200, RngStream(SEED, 12), constants=crt_cc, workers=4
     )
     ok_maxh = rep2000["max_height_rel_err"] <= 0.15
     supdevs = []
     for n, reps in ((200, 150), (800, 80), (3200, 40)):
-        r = limits.verify_crt_scaling(
+        r = verify.verify_crt_scaling(
             P111, n, reps, RngStream(SEED, 100 + n), constants=crt_cc, workers=4
         )
         supdevs.append(r["mean_sup_deviation_rescaled"])
@@ -213,7 +213,7 @@ def test_criterion_10_local_limit():
     tab = limits.prob_N_table(P111, tilt.zeta)
     kcap = 8
     probs = np.concatenate([tab[: kcap - 1], [1.0 - tab[: kcap - 1].sum()]])
-    internal = verify.chi2_vs_expected("ball_N_internal", Ns - 1, probs, alpha=0.01)
+    internal = verify.chi2_vs_expected("ball_N_internal", Ns - 1, probs)
     finite = verify.check_finite_n_local(
         P111, seed=SEED + 14, n=2000, n_networks=400, ball_samples=20_000
     )

@@ -25,7 +25,7 @@ from phylonetsim import (
     simple_pext_bounds,
     zeta_tilt,
 )
-from phylonetsim import analytics
+from phylonetsim import analytics, model
 from phylonetsim import params as params_mod
 from phylonetsim.analytics import critical_mu, gap_majorant, offspring_tables, tilted_offspring
 from phylonetsim.errors import DivergentTailError, NumericalFailure, PoleError
@@ -219,7 +219,7 @@ class TestOffspringPmf:
         n = 1_000_000
         ms = raw_M(P111, n, RngStream(302))
         pmf = offspring_pmf(P111, 24, tol=1e-13)
-        c = V.chi2_vs_expected("pmf_chi2", ms, pmf.probs, alpha=0.01)
+        c = V.chi2_vs_expected("pmf_chi2", ms, pmf.probs)
         assert c.passed, c.detail
 
     def test_level_cap_is_typed(self):
@@ -398,7 +398,8 @@ class TestMalthusian:
 
 
 class TestMemo:
-    """zeta_tilt and malthusian are solved once per parameter set and tol."""
+    """zeta_tilt and malthusian are solved once per parameter set and tol, and
+    the tilted offspring law and the h-transforms are kept with them."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -431,21 +432,29 @@ class TestMemo:
         assert solves == {"tilt": 2, "growth": 2}
 
     def test_typed_errors_are_raised_again(self, solves):
+        overflowing = ModelParams(10.1, 0.0102, 0.99)  # zeta = 18.4: zeta^m P(M = m) overflows
         for _ in range(2):
             with pytest.raises(PoleError):
                 zeta_tilt(ModelParams(0.1, 0.01, 0.1))
             with pytest.raises(DivergentTailError):
                 malthusian(ModelParams(0.1, 0.01, 0.01))
-        assert solves == {"tilt": 2, "growth": 2}
+            with pytest.raises(NumericalFailure, match="overflows"):
+                tilted_offspring(overflowing)
+        # the tilt itself is solved, and kept, once
+        assert solves == {"tilt": 3, "growth": 2}
+        assert ("tilted_offspring",) not in params_mod.tables(overflowing).kept
 
     def test_eviction_drops_the_memo(self, solves):
-        zeta_tilt(P111)
-        zeta_tilt(P111)
+        zeta = zeta_tilt(P111).zeta
+        kept = (tilted_offspring(P111), model.h_transform(P111), model.tilted_h_transform(P111, zeta))
         assert solves["tilt"] == 1
+        same = (tilted_offspring(P111), model.h_transform(P111), model.tilted_h_transform(P111, zeta))
+        assert all(a is b for a, b in zip(kept, same))
         for i in range(params_mod.TABLES_CAP):
             params_mod.tables(ModelParams(1.0, 1.0, 2.0 + i))
-        zeta_tilt(P111)
+        again = (tilted_offspring(P111), model.h_transform(P111), model.tilted_h_transform(P111, zeta))
         assert solves["tilt"] == 2
+        assert all(a is not b for a, b in zip(kept, again))
 
 
 class TestPgfFromState:

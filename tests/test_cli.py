@@ -1,11 +1,18 @@
 import json
 import math
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from phylonetsim import ModelParams, RngStream
 from phylonetsim.cli import SCHEMA_VERSION, build_parser, main
 from phylonetsim.network import ColorNetwork, GluedNetwork, contour, sample_network
+import phylonetsim
+import phylonetsim.verify as V
 
 
 def run_to_file(tmp_path, name, argv):
@@ -117,7 +124,7 @@ class TestSimulate:
             for col in ("parent", "birth_time", "end_time", "end_kind", "end_target", "mutation_points"):
                 assert getattr(b, col) == getattr(d, col)
             path = b.trajectory
-            path.validate()
+            V.validate_trajectory(path)
             assert path.M == G.tree.outdegree(v) and path.start_time == 0.0
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -190,6 +197,20 @@ class TestColumnsOnly:
         assert G.max_height() >= G.height(b)
         _, heights, _ = contour(G, RngStream(26), 256)
         assert heights.max() <= G.max_height() + 1e-12
+
+
+class TestPackageLayout:
+    def test_production_modules_do_not_import_verify(self):
+        # the oracles and checks live in verify, which only the CLI imports
+        names = [m.name for m in pkgutil.iter_modules(phylonetsim.__path__) if m.name not in ("cli", "verify")]
+        code = "; ".join(
+            ["import sys", "import phylonetsim", *(f"import phylonetsim.{n}" for n in names)]
+            + ["print('phylonetsim.verify' in sys.modules)"]
+        )
+        src = str(Path(phylonetsim.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0, out.stderr
+        assert len(names) >= 7 and out.stdout.strip() == "False"
 
 
 class TestContour:

@@ -1,11 +1,13 @@
+import inspect
 import math
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from phylonetsim import ModelParams, RngStream
-from phylonetsim.analytics import nu_circ_pmf, zeta_tilt
+from phylonetsim.analytics import nu_circ_pmf, tilted_offspring, zeta_tilt
 from phylonetsim.errors import NumericalFailure
 from phylonetsim.limits import (
     crt_constants,
@@ -18,10 +20,9 @@ from phylonetsim.limits import (
     sample_local_ball,
     sample_spinal_network,
     spinal_network_batch,
-    verify_crt_scaling,
 )
 from phylonetsim.model import MUTATION, TrajectoryStats, simulate_batch, tilted_h_transform, tilted_paths
-from phylonetsim.network import ColorNetwork, build_color_network, tilted_offspring_cached
+from phylonetsim.network import ColorNetwork, build_color_network
 from phylonetsim.rng import BufferedRng
 import phylonetsim.limits as limits
 import phylonetsim.verify as V
@@ -58,14 +59,14 @@ def excursion_ell(params: ModelParams, zeta: float, depth: int = 200) -> tuple:
 
 class TestGwSizeProbability:
     def test_small_n_identities(self):
-        _, probs = tilted_offspring_cached(P111)
+        _, probs = tilted_offspring(P111)
         v1, e1 = gw_size_probability(probs, 1)
         assert v1 == pytest.approx(float(probs[0]), rel=1e-12) and e1 <= 1e-12
         v2, _ = gw_size_probability(probs, 2)
         assert v2 == pytest.approx(float(probs[0] * probs[1]), rel=1e-12)
 
     def test_asymptotic_ratio(self):
-        tilt, probs = tilted_offspring_cached(P111)
+        tilt, probs = tilted_offspring(P111)
         ratios = []
         for n in (250, 500, 1000, 2000):
             v, err = gw_size_probability(probs, n)
@@ -75,7 +76,7 @@ class TestGwSizeProbability:
         assert all(abs(b - 1.0) <= abs(a - 1.0) for a, b in zip(ratios, ratios[1:]))
 
     def test_input_validation(self):
-        _, probs = tilted_offspring_cached(P111)
+        _, probs = tilted_offspring(P111)
         with pytest.raises(ValueError):
             gw_size_probability(probs, 0)
 
@@ -99,7 +100,7 @@ class TestCrtConstants:
         cc = crt_constants(P111, RngStream(503), n_samples=30_000)
         E_zetaM, ell = excursion_ell(P111, cc.zeta)
         assert E_zetaM == pytest.approx(cc.E_zetaM, abs=1e-12)
-        report = verify_crt_scaling(P111, 150, 80, RngStream(504), constants=cc)
+        report = V.verify_crt_scaling(P111, 150, 80, RngStream(504), constants=cc)
         ms = report["mean_size_per_color"]
         assert abs(ms["value"] - ell) <= 3.0 * ms["std_error"], (ms, ell)
         assert 0.9 <= report["mean_height_correlation"] <= 1.0
@@ -201,7 +202,7 @@ class TestFocalSpinal:
         for _ in range(100):
             net = sample_focal_network(P111, 1.0, buf)
             traj, kept = pasted[-1]
-            assert kept is net and len(net.alive_at(0.0)) == traj.pre_zero_state()
+            assert kept is net and len(net.alive_at(0.0)) == V.pre_zero_state(traj)
 
     def test_derived_trajectory_is_the_pasted_one(self, pasted):
         # a network keeps only its columns; the trajectory read from them must be
@@ -224,7 +225,7 @@ class TestFocalSpinal:
             for t, _, s_after in traj.events:
                 assert len(net.alive_at(0.5 * (t_prev + t))) == s
                 t_prev, s = t, s_after
-            assert [t for _, t in net.mutation_points] == traj.mutation_times()
+            assert [t for _, t in net.mutation_points] == V.mutation_times(traj)
             assert net.total_length == pytest.approx(traj.L, rel=1e-12, abs=1e-12)
 
 
@@ -234,12 +235,12 @@ class TestTiltedChain:
     )
     def test_law_of_M_from_state_one(self, params):
         # the zeta^M-tilted chain from state 1 against the exact tilted offspring law
-        tilt, probs = tilted_offspring_cached(params)
+        tilt, probs = tilted_offspring(params)
         n = 20_000
         paths = tilted_paths(params, tilt.zeta, np.ones(n, dtype=np.int64), RngStream(517).generator())
         is_mut = np.frombuffer(paths.kinds.encode(), dtype=np.uint8) == ord(MUTATION)
         M = np.add.reduceat(is_mut.astype(np.int64), paths.offsets[:-1])
-        c = V.chi2_vs_expected("tilted_chain_M_law", M, probs, alpha=0.01)
+        c = V.chi2_vs_expected("tilted_chain_M_law", M, probs)
         assert c.passed, (c.statistic, c.detail)
 
     def test_supercritical_draws_take_seconds(self):
@@ -277,6 +278,19 @@ class TestLocalBall:
         with pytest.raises(ValueError):
             sample_local_ball(P111, 1.0, -1, RngStream(510))
 
+    def test_deep_ball_needs_no_recursion(self):
+        # the subtrees of an r = 150 ball nest about 150 deep: one recursive
+        # level per tree level overflowed at r = 1000 (two frames per level)
+        zeta = zeta_tilt(P111).zeta
+        depth = len(inspect.stack(0))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            ball = sample_local_ball(P111, zeta, 150, RngStream(514))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(ball.spine_ids) == 150 and max(v.depth for v in ball.vertices) == 150
+
     def test_truncation_depths(self):
         zeta = zeta_tilt(P111).zeta
         ball = sample_local_ball(P111, zeta, 2, RngStream(511))
@@ -287,6 +301,16 @@ class TestLocalBall:
 
 
 class TestFiniteN:
+    def test_pooling_reads_the_smaller_sample(self):
+        # trailing columns pool until the last one expects 8 counts in the smaller sample
+        small, large = np.array([30, 10, 4, 3, 2, 1]), np.array([9000, 6000, 3000, 1000, 600, 400])
+        table = V._pool_tail([small, large])
+        last = table[:, -1].sum() * small.sum() / (small.sum() + large.sum())
+        assert table.shape == (2, 3) and last >= 8.0 and table.sum() == small.sum() + large.sum()
+        # with equal sample sizes it is 16 counts over both rows, as before
+        table = V._pool_tail([[50, 30, 10, 6, 4], [48, 33, 9, 5, 5]])
+        assert table[:, -1].sum() >= 16 and table.shape == (2, 4)
+
     def test_local_laws_small(self):
         checks = V.check_finite_n_local(
             P111, seed=512, n=400, n_networks=150, ball_samples=8000

@@ -14,7 +14,6 @@ from phylonetsim import (
     RngStream,
     expected_M,
     g_eval,
-    rho,
     simulate_batch,
     simulate_trajectory,
 )
@@ -53,16 +52,16 @@ def rejection_paths(params, m, n, rng):
 
 class TestRho:
     def test_direct_substitution(self):
-        assert rho(P111, 3) == 4.0
-        assert rho(P222, 1) == pytest.approx(0.4)
+        assert P111.rho(3) == 4.0
+        assert P222.rho(1) == pytest.approx(0.4)
 
     def test_k1_is_beta_independent(self):
         for beta in (0.1, 1.0, 7.5):
-            assert rho(ModelParams(0.3, beta, 0.6), 1) == pytest.approx(0.9)
+            assert ModelParams(0.3, beta, 0.6).rho(1) == pytest.approx(0.9)
 
     def test_k0_rejected(self):
         with pytest.raises(ValueError):
-            rho(P111, 0)
+            P111.rho(0)
 
     def test_positive_params_required(self):
         with pytest.raises(ValueError):
@@ -99,7 +98,7 @@ class TestSimulate:
             batch = plain_paths(p, starts, RngStream(100, j).generator())
             for i, x0 in enumerate(starts):
                 tr = batch.trajectory(i)
-                tr.validate()
+                V.validate_trajectory(tr)
                 assert tr.initial_state == x0
 
     def test_first_event_birth_prob(self):
@@ -113,7 +112,7 @@ class TestSimulate:
         kinds = first_kinds(P111, 30_000, RngStream(102))
         down = (kinds != BIRTH.encode()).sum()
         mut = (kinds == MUTATION.encode()).sum()
-        p = P111.mu / rho(P111, 1)
+        p = P111.mu / P111.rho(1)
         assert abs(mut / down - p) <= 3.0 * math.sqrt(p * (1 - p) / down)
 
     def test_mean_M_matches_series(self):
@@ -269,7 +268,7 @@ class TestConditioning:
             a = np.empty(n)
             for i in range(n):
                 t1 = paths.trajectory(i)
-                t1.validate()
+                V.validate_trajectory(t1)
                 assert t1.M == m
                 a[i] = t1.L
             b = np.array([tr.L for tr in rejection_paths(P111, m, n, RngStream(113, m))])
@@ -277,7 +276,7 @@ class TestConditioning:
 
     def test_decomposition_deep_tail(self):
         tr = sample_conditioned_path(P111, 14, RngStream(114))
-        tr.validate()
+        V.validate_trajectory(tr)
         assert tr.M == 14
 
     @pytest.mark.parametrize(
@@ -286,7 +285,7 @@ class TestConditioning:
     def test_decomposition_deeper_than_recursion_limit(self, params, m):
         # near-critical points whose excursions nest past a thousand levels
         tr = sample_conditioned_path(params, m, RngStream(77, m, (0,)))
-        tr.validate()
+        V.validate_trajectory(tr)
         assert tr.M == m
 
 
@@ -342,7 +341,7 @@ class TestPasting:
         f, g = self._two_runs(116, 2, 2)
         pasted = paste_back_to_back(f, g)
         for t in np.linspace(0.0, g.T * 0.999, 7):
-            assert pasted.state_at(t) == g.state_at(t)
+            assert V.state_at(pasted, t) == V.state_at(g, t)
 
     def test_zero_length_g_gives_pure_reversal(self):
         f, g = self._two_runs(117, 1, 0)
@@ -355,7 +354,7 @@ class TestPasting:
                 if u >= shifted:
                     break
                 left_lim = s_after
-            assert pasted.state_at(t) == left_lim
+            assert V.state_at(pasted, t) == left_lim
 
     def test_carried_marks_count(self):
         f, g = self._two_runs(118, 2, 1)
@@ -373,8 +372,8 @@ class TestPasting:
         f, g = self._two_runs(120, 3, 2)
         pasted = paste_back_to_back(f, g, zero_kind=MUTATION)
         fixed = resample_negative_kinds(pasted, P111, RngStream(121))
-        fixed.validate()
-        assert fixed.state_at(0.0) == 2
+        V.validate_trajectory(fixed)
+        assert V.state_at(fixed, 0.0) == 2
 
 
 class TestNuCircAndXMut:
@@ -384,8 +383,8 @@ class TestNuCircAndXMut:
 
     def test_x_mut_structure(self):
         for tr in sample_x_mut(P111, 300, RngStream(123)):
-            tr.validate()
-            k = tr.pre_zero_state()
+            V.validate_trajectory(tr)
+            k = V.pre_zero_state(tr)
             # the time-0 transition is the distinguished mutation K -> K-1
             zero_events = [e for e in tr.events if e[0] == 0.0]
             assert len(zero_events) == 1
@@ -424,6 +423,11 @@ class TestSerialization:
         d = tr.to_json_dict()
         assert set(d) == {"initial_state", "start_time", "events"}
         assert all(kind in "BDCM" for _, kind in d["events"])
-        back = MarkedTrajectory.from_json_dict(d)
+        # the path follows from the start state and the kinds: +1 per birth, else -1
+        s, events = d["initial_state"], []
+        for t, kind in d["events"]:
+            s += 1 if kind == BIRTH else -1
+            events.append((t, kind, s))
+        back = MarkedTrajectory(d["initial_state"], events, d["start_time"])
         assert back.events == tr.events
         assert back.M == tr.M

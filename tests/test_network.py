@@ -18,7 +18,6 @@ from phylonetsim.network import (
     decorate,
     sample_genealogy_tree,
     sample_network,
-    tilted_offspring_cached,
 )
 from phylonetsim.rng import BufferedRng
 import phylonetsim.network as network_mod
@@ -101,12 +100,12 @@ class TestGenealogyTree:
             GenealogyTree.from_preorder_outdegrees([2, 0, 0, 0])
 
     def test_n1_forced(self):
-        _, probs = tilted_offspring_cached(P111)
+        _, probs = analytics.tilted_offspring(P111)
         t = sample_genealogy_tree(probs, 1, RngStream(405))
         assert t.n == 1 and t.outdegree(0) == 0
 
     def test_n2_forced_chain(self):
-        _, probs = tilted_offspring_cached(P111)
+        _, probs = analytics.tilted_offspring(P111)
         for i in range(20):
             t = sample_genealogy_tree(probs, 2, RngStream(406, i))
             assert t.parent == [-1, 0]
