@@ -1,15 +1,24 @@
 """Command-line interface.
 
 Subcommands: analyze, gfun-table, simulate, contour, local-ball, verify.
-Flags override a plain key=value config file; identical configurations
-(including the worker count) produce byte-identical output.  JSON output is
-compact, key-sorted and on a single line (``python -m json.tool`` indents
-it), at schema version 3: networks and local-ball vertices carry each
-decoration as per-lineage columns (see `network.ColorNetwork.to_json_dict`).
-Schema 3 drops two keys of schema 2: the local ball's ``weight`` (its draws
-are exact and unweighted) and ``config.method`` (there is one network
-sampler).
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 numeric failure.
+Each accepts only the options it reads (``COMMANDS``), and ``verify`` only
+those of its ``--suite`` (``SUITES``).  The ``key=value`` lines of a
+``--config`` file are read as ``--key=value`` flags in front of those of
+the command line, which win.  Identical configurations (including the
+worker count) produce byte-identical output.
+
+JSON output is compact, key-sorted and on a single line (``python -m
+json.tool`` indents it), at schema version 4: networks and local-ball
+vertices carry each decoration as per-lineage columns (see
+`network.ColorNetwork.to_json_dict`).  Schema 3 dropped the local ball's
+``weight`` (its draws are exact and unweighted) and ``config.method``
+(there is one network sampler).  In schema 4, ``config`` holds every
+option the command and its suite read, less ``config``, ``out``,
+``format`` and ``workers``, which change no result; ``verify``'s
+``suite`` moves into it.
+Exit codes: 0 success, 1 check failure, 2 usage error (an option the
+command does not read, a bad config line, an out-of-range value), 3 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -37,7 +46,7 @@ from .model import simulate_trajectory
 from .params import ModelParams
 from .rng import RngStream
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 NUMERIC_ERRORS = (
     PoleError,
@@ -48,71 +57,56 @@ NUMERIC_ERRORS = (
     GlueError,
 )
 
-
-@dataclass
-class RunConfig:
-    alpha: float = 1.0
-    beta: float = 1.0
-    mu: float = 1.0
-    n: int = 50
-    seed: int = 42
-    samples: int = 20_000
-    tol: float = 1e-12
-    format: str = "json"
-    out: str | None = None
-    workers: int = 1
-
-    @property
-    def params(self) -> ModelParams:
-        return ModelParams(self.alpha, self.beta, self.mu)
-
-    def header(self) -> dict:
-        # workers is omitted: it never affects results (per-replicate streams,
-        # fixed reduction order), so output stays byte-identical across counts
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "package_version": __version__,
-            "config": {
-                "alpha": self.alpha,
-                "beta": self.beta,
-                "mu": self.mu,
-                "n": self.n,
-                "seed": self.seed,
-                "samples": self.samples,
-                "tol": self.tol,
-            },
-        }
+# suite -> (function, the options it reads after params and seed, in its argument order)
+SUITES = {
+    "model": (verify.model_suite, ("scale",)),
+    "analytics": (verify.analytics_suite, ("scale",)),
+    "network": (verify.network_suite, ("scale",)),
+    "crt": (verify.crt_suite, ("n", "replicates", "samples", "workers")),
+    "local": (verify.local_suite, ("scale", "n", "replicates")),
+}
+SUITE_OPTIONS = tuple(dict.fromkeys(o for _, reads in SUITES.values() for o in reads))
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line without '=': {line!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    return values
+def _int_list(text: str) -> list:
+    return [int(d) for d in text.split(",") if d]
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    file_vals = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    casts = {
-        "alpha": float, "beta": float, "mu": float, "tol": float,
-        "n": int, "seed": int, "samples": int, "workers": int,
-        "format": str, "out": str,
+# the argparse arguments of every option but config, out and format
+OPTIONS = {
+    "alpha": {"type": float, "default": 1.0},
+    "beta": {"type": float, "default": 1.0},
+    "mu": {"type": float, "default": 1.0},
+    "seed": {"type": int, "default": 42},
+    "n": {"type": int, "default": 50},
+    "samples": {"type": int, "default": 20_000},
+    "tol": {"type": float, "default": 1e-12},
+    "scale": {"type": float, "default": 1.0},
+    "replicates": {"type": int, "default": 200},
+    "workers": {"type": int, "default": 1},
+    "depths": {"type": _int_list, "default": "4,8,12,16,20,24"},
+    "z-steps": {"type": int, "default": 11},
+    "count": {"type": int, "default": 1},
+    "kind": {"choices": ["network", "trajectory"], "default": "network"},
+    "grid": {"type": int, "default": 4096},
+    "r": {"type": int, "default": 1},
+    "suite": {"required": True, "choices": list(SUITES)},
+}
+
+# parsed keys that no header records: the command, and options that change no result
+UNRECORDED = ("command", "config", "out", "format", "workers")
+
+
+def _params(args: argparse.Namespace) -> ModelParams:
+    return ModelParams(args.alpha, args.beta, args.mu)
+
+
+def _header(args: argparse.Namespace) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "package_version": __version__,
+        "config": {k: v for k, v in vars(args).items() if k not in UNRECORDED},
     }
-    for key, cast in casts.items():
-        if key in file_vals:
-            setattr(cfg, key, cast(file_vals[key]))
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(cfg, key, flag)
-    return cfg
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -148,16 +142,16 @@ def _enclosure_dict(cv, method: str) -> dict:
     }
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    p = cfg.params
-    em = analytics.expected_M(p, cfg.tol)
-    pe = analytics.extinction_probability(p, max(cfg.tol, 1e-12))
+def cmd_analyze(args: argparse.Namespace) -> int:
+    p = _params(args)
+    em = analytics.expected_M(p, args.tol)
+    pe = analytics.extinction_probability(p, max(args.tol, 1e-12))
     lo, hi = analytics.simple_pext_bounds(p)
     tilt = analytics.zeta_tilt(p)
     lam = analytics.malthusian(p)
     nu = analytics.nu_circ_pmf(p)
-    cc = limits.crt_constants(p, RngStream(cfg.seed), n_samples=cfg.samples)
-    out = cfg.header()
+    cc = limits.crt_constants(p, RngStream(args.seed), n_samples=args.samples)
+    out = _header(args)
     out["analysis"] = {
         "expected_M": _enclosure_dict(em, "series"),
         "extinction_probability": _enclosure_dict(pe, "fixed-point"),
@@ -171,9 +165,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
         },
         "malthusian_rate": {"value": lam, "method": "bisection", "error": 1e-10},
         "nu_circ_head": list(np.round(nu.probs[:8], 15)),
-        "crt_constants": cc.to_json_dict(),
+        "crt_constants": asdict(cc),
     }
-    if cfg.format == "csv":
+    if args.format == "csv":
         rows = [
             ["expected_M", em.midpoint, em.width],
             ["p_ext", pe.midpoint, pe.width],
@@ -186,18 +180,20 @@ def cmd_analyze(cfg: RunConfig) -> int:
             ["ell", cc.ell.value, cc.ell.std_error],
             ["C", cc.C.value, cc.C.std_error],
         ]
-        _emit(_csv_text(["quantity", "value", "error"], rows), cfg.out)
+        _emit(_csv_text(["quantity", "value", "error"], rows), args.out)
     else:
-        _emit_json(out, cfg.out)
+        _emit_json(out, args.out)
     return 0
 
 
-def cmd_gfun_table(cfg: RunConfig, depths: list, z_steps: int) -> int:
-    p = cfg.params
-    zs = [i / (z_steps - 1) for i in range(z_steps)]
+def cmd_gfun_table(args: argparse.Namespace) -> int:
+    if args.z_steps < 2:
+        raise ValueError("--z-steps must be at least 2")
+    p = _params(args)
+    zs = [i / (args.z_steps - 1) for i in range(args.z_steps)]
     tables = []
     clip = lambda x: min(max(x, 0.0), 1.0)
-    for n in depths:
+    for n in args.depths:
         rows = []
         sup_gap = 0.0
         for z in zs:
@@ -213,7 +209,7 @@ def cmd_gfun_table(cfg: RunConfig, depths: list, z_steps: int) -> int:
                 "rows": rows,
             }
         )
-    if cfg.format == "csv":
+    if args.format == "csv":
         rows = []
         for t in tables:
             for r in t["rows"]:
@@ -222,63 +218,63 @@ def cmd_gfun_table(cfg: RunConfig, depths: list, z_steps: int) -> int:
                 )
         _emit(
             _csv_text(["depth", "z", "lower", "upper", "gap", "sup_gap", "gap_majorant"], rows),
-            cfg.out,
+            args.out,
         )
     else:
-        out = cfg.header()
+        out = _header(args)
         out["gfun_table"] = tables
-        _emit_json(out, cfg.out)
+        _emit_json(out, args.out)
     return 0
 
 
-def cmd_simulate(cfg: RunConfig, count: int, kind: str) -> int:
-    p = cfg.params
-    if kind == "trajectory":
+def cmd_simulate(args: argparse.Namespace) -> int:
+    p = _params(args)
+    if args.kind == "trajectory":
+        if args.format != "json":
+            raise ValueError("--kind trajectory writes JSON only")
         items = [
-            simulate_trajectory(p, max(cfg.n, 1), RngStream(cfg.seed, i)).to_json_dict()
-            for i in range(count)
+            simulate_trajectory(p, max(args.n, 1), RngStream(args.seed, i)).to_json_dict()
+            for i in range(args.count)
         ]
-        out = cfg.header()
+        out = _header(args)
         out["trajectories"] = items
-        _emit_json(out, cfg.out)
+        _emit_json(out, args.out)
         return 0
-    nets = [network.sample_network(p, cfg.n, RngStream(cfg.seed, i)) for i in range(count)]
-    if cfg.format == "csv":
-        chunks = [G.to_edge_csv() for G in nets]
-        _emit("\n".join(chunks), cfg.out)
-    elif cfg.format == "newick":
-        _emit("\n".join(G.to_extended_newick() for G in nets) + "\n", cfg.out)
+    nets = [network.sample_network(p, args.n, RngStream(args.seed, i)) for i in range(args.count)]
+    if args.format == "csv":
+        _emit("\n".join(G.to_edge_csv() for G in nets), args.out)
+    elif args.format == "newick":
+        _emit("\n".join(G.to_extended_newick() for G in nets) + "\n", args.out)
     else:
-        out = cfg.header()
+        out = _header(args)
         out["networks"] = [G.to_json_dict() for G in nets]
-        _emit_json(out, cfg.out)
+        _emit_json(out, args.out)
     return 0
 
 
-def cmd_contour(cfg: RunConfig, grid: int) -> int:
-    p = cfg.params
-    G = network.sample_network(p, cfg.n, RngStream(cfg.seed, 0))
-    ts, hs, cols = network.contour(G, RngStream(cfg.seed, 1), grid)
-    if cfg.format == "csv":
+def cmd_contour(args: argparse.Namespace) -> int:
+    G = network.sample_network(_params(args), args.n, RngStream(args.seed, 0))
+    ts, hs, cols = network.contour(G, RngStream(args.seed, 1), args.grid)
+    if args.format == "csv":
         rows = [[float(t), float(h)] for t, h in zip(ts, hs)]
-        _emit(_csv_text(["t", "h"], rows), cfg.out)
+        _emit(_csv_text(["t", "h"], rows), args.out)
     else:
-        out = cfg.header()
+        out = _header(args)
         out["contour"] = {
-            "grid_size": grid,
+            "grid_size": args.grid,
             "t": [float(t) for t in ts],
             "h": [float(h) for h in hs],
             "color_index": [int(c) for c in cols],
         }
-        _emit_json(out, cfg.out)
+        _emit_json(out, args.out)
     return 0
 
 
-def cmd_local_ball(cfg: RunConfig, radius: int) -> int:
-    p = cfg.params
+def cmd_local_ball(args: argparse.Namespace) -> int:
+    p = _params(args)
     tilt = analytics.zeta_tilt(p)
-    ball = limits.sample_local_ball(p, tilt.zeta, radius, RngStream(cfg.seed))
-    out = cfg.header()
+    ball = limits.sample_local_ball(p, tilt.zeta, args.r, RngStream(args.seed))
+    out = _header(args)
     out["local_ball"] = {
         "r": ball.r,
         "zeta": tilt.zeta,
@@ -296,49 +292,36 @@ def cmd_local_ball(cfg: RunConfig, radius: int) -> int:
             for v in ball.vertices
         ],
     }
-    _emit_json(out, cfg.out)
+    _emit_json(out, args.out)
     return 0
 
 
-def cmd_verify(cfg: RunConfig, suite: str, scale: float, replicates: int) -> int:
-    p = cfg.params
-    if suite == "model":
-        checks = verify.model_suite(p, cfg.seed, scale)
-    elif suite == "analytics":
-        checks = verify.analytics_suite(p, cfg.seed, scale)
-    elif suite == "network":
-        checks = verify.network_suite(p, cfg.seed, scale)
-    elif suite == "crt":
-        checks = verify.crt_suite(
-            p,
-            cfg.seed,
-            n=cfg.n,
-            replicates=replicates,
-            n_samples=cfg.samples,
-            workers=cfg.workers,
-            trend_ns=(max(cfg.n // 4, 16), cfg.n, 4 * cfg.n),
-            trend_reps=(
-                max(replicates // 4, 8),
-                max(replicates // 8, 6),
-                max(replicates // 16, 4),
-            ),
-            maxh_n=2 * cfg.n,
-            maxh_reps=max(replicates // 5, 8),
-        )
-    elif suite == "local":
-        checks = verify.local_suite(
-            p, cfg.seed, scale, n=cfg.n, n_networks=max(replicates, 50)
-        )
-    else:
-        sys.stderr.write(f"unknown suite {suite!r}\n")
-        return 2
+def cmd_verify(args: argparse.Namespace) -> int:
+    suite, reads = SUITES[args.suite]
+    unread = [f"--{o}" for o in SUITE_OPTIONS if o in args and o not in reads]
+    if unread:
+        raise ValueError(f"verify --suite {args.suite} does not read {' '.join(unread)}")
+    for o in reads:
+        vars(args).setdefault(o, OPTIONS[o]["default"])
+    checks = suite(_params(args), args.seed, *(getattr(args, o) for o in reads))
     passed = all(c.passed for c in checks)
-    out = cfg.header()
-    out["suite"] = suite
+    out = _header(args)
     out["passed"] = passed
     out["checks"] = [c.to_json_dict() for c in checks]
-    _emit_json(out, cfg.out)
+    _emit_json(out, args.out)
     return 0 if passed else 1
+
+
+# command -> (function, help, the formats it writes (none: JSON only, and no
+# --format), the options it reads besides config, out, format, alpha, beta and mu)
+COMMANDS = {
+    "analyze": (cmd_analyze, "closed-form and Monte Carlo summary", ("json", "csv"), ("seed", "samples", "tol")),
+    "gfun-table": (cmd_gfun_table, "lower/upper convergents of the offspring pgf", ("json", "csv"), ("depths", "z-steps")),
+    "simulate": (cmd_simulate, "sample networks (or trajectories)", ("json", "csv", "newick"), ("n", "seed", "count", "kind")),
+    "contour": (cmd_contour, "height process of a sampled network", ("json", "csv"), ("n", "seed", "grid")),
+    "local-ball": (cmd_local_ball, "sample the local weak limit ball", (), ("seed", "r")),
+    "verify": (cmd_verify, "run a named verification suite", (), ("seed", "suite", *SUITE_OPTIONS)),
+}
 
 
 @functools.lru_cache(maxsize=1)
@@ -346,70 +329,50 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="phylonetsim", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="key=value config file; flags override")
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--beta", type=float)
-        sp.add_argument("--mu", type=float)
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--samples", type=int)
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--format", choices=["json", "csv", "newick"])
+    for name, (_, help_text, formats, reads) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        sp.add_argument("--config", help="file of key=value lines, read as flags in front of these")
         sp.add_argument("--out")
-        sp.add_argument("--workers", type=int)
-
-    sp = sub.add_parser("analyze", help="closed-form and Monte Carlo summary")
-    common(sp)
-    sp = sub.add_parser("gfun-table", help="lower/upper convergents of the offspring pgf")
-    common(sp)
-    sp.add_argument("--depths", default="4,8,12,16,20,24")
-    sp.add_argument("--z-steps", type=int, default=11)
-    sp = sub.add_parser("simulate", help="sample networks (or trajectories)")
-    common(sp)
-    sp.add_argument("--count", type=int, default=1)
-    sp.add_argument("--kind", choices=["network", "trajectory"], default="network")
-    sp = sub.add_parser("contour", help="height process of a sampled network")
-    common(sp)
-    sp.add_argument("--grid", type=int, default=4096)
-    sp = sub.add_parser("local-ball", help="sample the local weak limit ball")
-    common(sp)
-    sp.add_argument("--r", type=int, default=1)
-    sp = sub.add_parser("verify", help="run a named verification suite")
-    common(sp)
-    sp.add_argument("--suite", required=True, choices=["model", "analytics", "network", "crt", "local"])
-    sp.add_argument("--scale", type=float, default=1.0)
-    sp.add_argument("--replicates", type=int, default=200)
+        if formats:
+            sp.add_argument("--format", choices=formats, default="json")
+        for opt in ("alpha", "beta", "mu", *reads):
+            # verify's suite options are absent unless given: cmd_verify checks them against the suite
+            unset = {"default": argparse.SUPPRESS} if name == "verify" and opt in SUITE_OPTIONS else {}
+            sp.add_argument(f"--{opt}", **{**OPTIONS[opt], **unset})
     return ap
 
 
+def _with_config_flags(argv: list) -> list:
+    """argv with the lines of its --config file, if any, as flags after the command."""
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
+    flags = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, eq, val = (part.strip() for part in line.partition("="))
+            if not eq or key == "config":
+                raise ValueError(f"config line is not key=value of a command option: {line!r}")
+            flags.append(f"--{key}={val}")
+    return argv[:1] + flags + argv[1:]
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = _build_config(args)
-        if args.command == "analyze":
-            return cmd_analyze(cfg)
-        if args.command == "gfun-table":
-            depths = [int(d) for d in args.depths.split(",") if d]
-            return cmd_gfun_table(cfg, depths, args.z_steps)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.count, args.kind)
-        if args.command == "contour":
-            return cmd_contour(cfg, args.grid)
-        if args.command == "local-ball":
-            return cmd_local_ball(cfg, args.r)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.suite, args.scale, args.replicates)
-        ap.error(f"unknown command {args.command!r}")
+        args = build_parser().parse_args(_with_config_flags(argv))
+        return COMMANDS[args.command][0](args)
     except NUMERIC_ERRORS as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 3
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -55,14 +55,6 @@ class Estimate:
     n_samples: int
     flags: tuple = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "flags": list(self.flags),
-        }
-
     def overlaps(self, other: "Estimate") -> bool:
         """Whether the two values lie within 3 combined standard errors."""
         return abs(self.value - other.value) <= 3.0 * math.hypot(self.std_error, other.std_error)
@@ -78,18 +70,6 @@ class CrtConstants:
     ell: Estimate
     ell_crosscheck: Estimate
     C: Estimate
-
-    def to_json_dict(self) -> dict:
-        return {
-            "zeta": self.zeta,
-            "E_zetaM": self.E_zetaM,
-            "sigma_hat_sq": self.sigma_hat_sq,
-            "EUstar": self.EUstar.to_json_dict(),
-            "EUstar_formula": self.EUstar_formula.to_json_dict(),
-            "ell": self.ell.to_json_dict(),
-            "ell_crosscheck": self.ell_crosscheck.to_json_dict(),
-            "C": self.C.to_json_dict(),
-        }
 
 
 def _ratio_estimate(num: np.ndarray, den: np.ndarray, flags=()) -> Estimate:
@@ -122,6 +102,8 @@ def crt_constants(params: ModelParams, rng: RngStream, n_samples: int = 100_000)
     the per-state runs (max(400, n_samples nu_circ(k)) from each state k, in
     order of k) and substream 41 the tilted runs.
     """
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2: a standard error needs two draws")
     tilt = analytics.zeta_tilt(params)
     zeta, EzM = tilt.zeta, tilt.E_zetaM
     EM = analytics.expected_M(params).midpoint
@@ -250,7 +232,7 @@ def _pasted_networks(params: ModelParams, zeta: float, n: int, rng, spinal: bool
             events.append((0.0, MUTATION, K[i] - 1))
         c, d = o[n + i], o[n + i + 1]
         events += zip(times[c:d], kinds[c:d], states[c:d])
-        net = build_color_network(params, MarkedTrajectory(1, events, -times[b]), buf)
+        net = build_color_network(MarkedTrajectory(1, events, -times[b]), buf)
         if spinal:
             net.focal_point = next(mp for mp in net.mutation_points if mp[1] == 0.0)
         else:

@@ -219,12 +219,11 @@ def _realize(kinds: list, times: list, start_time: float, buf: BufferedRng) -> C
     return ColorNetwork(parent, birth, end, "".join(kind), target, mutation_points)
 
 
-def build_color_network(params: ModelParams, traj: MarkedTrajectory, rng) -> ColorNetwork:
+def build_color_network(traj: MarkedTrajectory, rng) -> ColorNetwork:
     """Realize the lineage structure of a color from its marked trajectory."""
     if traj.initial_state != 1:
         raise ValueError("a color starts from a single lineage")
-    buf = buffered(rng)
-    return _realize([e[1] for e in traj.events], [e[0] for e in traj.events], traj.start_time, buf)
+    return _realize([e[1] for e in traj.events], [e[0] for e in traj.events], traj.start_time, buffered(rng))
 
 
 def decorate_batch(params: ModelParams, ms, rng) -> list:
@@ -242,7 +241,7 @@ def decorate_batch(params: ModelParams, ms, rng) -> list:
 
 def decorate(params: ModelParams, m: int, rng) -> ColorNetwork:
     """Color network conditioned on producing exactly m mutations, the batch of one of
-    `decorate_batch`: ``build_color_network(params, sample_conditioned_path(params, m, buf), buf)``.
+    `decorate_batch`: ``build_color_network(sample_conditioned_path(params, m, buf), buf)``.
     """
     return decorate_batch(params, [m], rng)[0]
 

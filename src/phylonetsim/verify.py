@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -132,11 +132,9 @@ def _ess(w) -> float:
     return float(w.sum() ** 2 / (w * w).sum())
 
 
-def weighted_two_sample(name, va, wa, vb, wb, n_cats=None) -> Check:
+def weighted_two_sample(name, va, wa, vb, wb, n_cats) -> Check:
     """Bonferroni max-z comparison of two weighted categorical samples, over
     the categories with an effective count of at least 15 in both."""
-    if n_cats is None:
-        n_cats = int(max(np.max(va), np.max(vb))) + 1
     pa, sa = _weighted_props(va, wa, n_cats)
     pb, sb = _weighted_props(vb, wb, n_cats)
     ess_a, ess_b = _ess(wa), _ess(wb)
@@ -786,7 +784,7 @@ def check_decoration_consistency(params: ModelParams, seed=13, n_samples=300) ->
         m = i % 3
         dec = network.decorate(params, m, buf)
         tr = model.sample_conditioned_path(params, m, twin)
-        ref = network.build_color_network(params, tr, twin)
+        ref = network.build_color_network(tr, twin)
         ok &= all(getattr(dec, c) == getattr(ref, c) for c in _DECORATION_FIELDS)
         ok &= dec.trajectory.events == tr.events and dec.trajectory.start_time == tr.start_time
         s = tr.initial_state
@@ -882,7 +880,7 @@ def _direct_network(params: ModelParams, n: int, rng: RngStream):
             continue
         tree = network.GenealogyTree.from_preorder_outdegrees([m for _, _, m in kept])
         return network.GluedNetwork(
-            tree, [network.build_color_network(params, batch.trajectory(i), buf) for batch, i, _ in kept]
+            tree, [network.build_color_network(batch.trajectory(i), buf) for batch, i, _ in kept]
         )
     raise RetryBudgetError(f"direct sampler missed n={n} colors", max_retries, 1.0 / max_retries)
 
@@ -1121,7 +1119,7 @@ def verify_crt_scaling(
     n: int,
     replicates: int,
     rng: RngStream,
-    constants: limits.CrtConstants | None = None,
+    constants: limits.CrtConstants,
     workers: int = 1,
 ) -> dict:
     """Desk-scale CRT checks on n-color networks.
@@ -1136,8 +1134,8 @@ def verify_crt_scaling(
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if constants is None:
-        constants = limits.crt_constants(params, rng.substream(900_001), n_samples=50_000)
+    if replicates < 2:
+        raise ValueError("replicates must be >= 2: a standard error needs two draws")
     eu = constants.EUstar.value
     sig = math.sqrt(constants.sigma_hat_sq)
     base = rng.substream(900_003)
@@ -1164,10 +1162,10 @@ def verify_crt_scaling(
     return {
         "n": n,
         "replicates": replicates,
-        "mean_size_per_color": mean_size.to_json_dict(),
-        "ell": constants.ell.to_json_dict(),
+        "mean_size_per_color": asdict(mean_size),
+        "ell": asdict(constants.ell),
         "size_check_passed": mean_size.overlaps(constants.ell),
-        "mean_max_height_rescaled": mean_maxh.to_json_dict(),
+        "mean_max_height_rescaled": asdict(mean_maxh),
         "max_height_target": target_maxh,
         "max_height_rel_err": abs(mean_maxh.value - target_maxh) / target_maxh,
         "mean_sup_deviation_rescaled": float(supdev.mean()),
@@ -1176,18 +1174,9 @@ def verify_crt_scaling(
     }
 
 
-def crt_suite(
-    params: ModelParams,
-    seed: int = 42,
-    n: int = 500,
-    replicates: int = 1000,
-    n_samples: int = 100_000,
-    workers: int = 1,
-    trend_ns=(200, 800, 3200),
-    trend_reps=(150, 80, 40),
-    maxh_n: int = 2000,
-    maxh_reps: int = 200,
-) -> list:
+def crt_suite(params: ModelParams, seed: int, n: int, replicates: int, n_samples: int, workers: int) -> list:
+    """The CRT constants, the size check at n colors, the maximum height at 2n and the
+    sup-deviation trend over n/4, n and 4n, with fewer replicates as n grows."""
     checks = []
     cc = limits.crt_constants(params, RngStream(seed, 1), n_samples=n_samples)
     checks.append(
@@ -1231,11 +1220,11 @@ def crt_suite(
         )
     )
     maxh_report = verify_crt_scaling(
-        params, maxh_n, maxh_reps, RngStream(seed, 4), constants=cc, workers=workers
+        params, 2 * n, max(replicates // 5, 8), RngStream(seed, 4), constants=cc, workers=workers
     )
     checks.append(
         Check(
-            f"max_height_within_15pct_n={maxh_n}",
+            f"max_height_within_15pct_n={2 * n}",
             maxh_report["max_height_rel_err"] <= 0.15,
             maxh_report["max_height_rel_err"],
             0.15,
@@ -1245,6 +1234,8 @@ def crt_suite(
             },
         )
     )
+    trend_ns = (max(n // 4, 16), n, 4 * n)
+    trend_reps = (max(replicates // 4, 8), max(replicates // 8, 6), max(replicates // 16, 4))
     supdevs = []
     for nn, reps in zip(trend_ns, trend_reps):
         rep = verify_crt_scaling(
@@ -1450,13 +1441,9 @@ def check_time_since_mutation(params: ModelParams, seed=27, n_networks=300, n=20
     return Check("time_since_mutation_law", worst <= z_crit, worst, float(z_crit), {"cells": n_cells})
 
 
-def local_suite(
-    params: ModelParams,
-    seed: int = 42,
-    scale: float = 1.0,
-    n: int = 2000,
-    n_networks: int = 300,
-) -> list:
+def local_suite(params: ModelParams, seed: int, scale: float, n: int, replicates: int) -> list:
+    """The local-limit samplers, and `replicates` networks of n colors (at least 50)."""
+    n_networks = max(replicates, 50)
     checks = []
     checks += check_prob_N_basics(params)
     checks += check_focal_sampler(params, seed + 40, max(2000, int(30_000 * scale)))

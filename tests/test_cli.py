@@ -251,7 +251,7 @@ class TestLocalBall:
         )
         assert code == 0
         doc = json.loads(raw)
-        assert doc["schema_version"] == SCHEMA_VERSION == 3
+        assert doc["schema_version"] == SCHEMA_VERSION == 4
         assert "weight" not in doc["local_ball"] and "method" not in doc["config"]
 
 
@@ -324,3 +324,106 @@ class TestExitCodes:
         monkeypatch.setattr(cli.analytics, "expected_M", boom)
         code = main(["analyze", "--alpha", "1", "--beta", "1", "--mu", "1"])
         assert code == 3
+
+
+def exit_code(argv):
+    """main's return value, or the code of the SystemExit that argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# (command, option) pairs that the command does not read, so does not accept
+UNREAD = [
+    *(("analyze", opt) for opt in ("--n=5", "--workers=2")),
+    *(("gfun-table", opt) for opt in ("--n=5", "--seed=9", "--samples=5", "--tol=1e-3", "--workers=2")),
+    *((cmd, opt) for cmd in ("simulate", "contour") for opt in ("--samples=5", "--tol=1e-3", "--workers=2")),
+    *(("local-ball", opt) for opt in ("--n=5", "--samples=5", "--tol=1e-3", "--format=csv", "--workers=2")),
+    *(("verify --suite=model", opt) for opt in ("--tol=1e-3", "--format=json")),
+]
+
+# the header config of each command: every option it reads less config, out, format and workers
+READS = {
+    "analyze --samples=500": {"alpha", "beta", "mu", "seed", "samples", "tol"},
+    "gfun-table --depths=4 --z-steps=3": {"alpha", "beta", "mu", "depths", "z_steps"},
+    "simulate --n=5": {"alpha", "beta", "mu", "n", "seed", "count", "kind"},
+    "contour --n=5 --grid=16": {"alpha", "beta", "mu", "n", "seed", "grid"},
+    "local-ball": {"alpha", "beta", "mu", "seed", "r"},
+}
+
+
+class TestOptions:
+    def test_parsers_hold_55_options(self):
+        # 75 (command, option) pairs before the 20 of UNREAD were dropped
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+        options = [opt for sp in subparsers.choices.values() for a in sp._actions for opt in a.option_strings]
+        assert len([opt for opt in options if opt != "--help" and opt.startswith("--")]) == 55
+
+    @pytest.mark.parametrize("cmd,opt", UNREAD)
+    def test_unread_option_is_usage_error(self, cmd, opt):
+        assert exit_code([*cmd.split(), opt]) == 2
+
+    @pytest.mark.parametrize("argv", list(READS))
+    def test_header_records_what_the_command_reads(self, tmp_path, argv):
+        code, raw = run_to_file(tmp_path, "h.json", argv.split())
+        assert code == 0
+        assert set(json.loads(raw)["config"]) == READS[argv]
+
+    @pytest.mark.parametrize(
+        "suite,flags,reads",
+        [
+            ("model", ["--scale=0.5"], {"scale": 0.5}),
+            ("analytics", [], {"scale": 1.0}),
+            ("network", [], {"scale": 1.0}),
+            ("crt", ["--n=40", "--workers=3"], {"n": 40, "replicates": 200, "samples": 20_000, "workers": 3}),
+            ("local", ["--replicates=60"], {"scale": 1.0, "n": 50, "replicates": 60}),
+        ],
+    )
+    def test_verify_passes_its_suite_exactly_its_options(self, tmp_path, monkeypatch, suite, flags, reads):
+        from phylonetsim import cli
+
+        seen = []
+        fake = lambda params, seed, *values: seen.append((params, seed, values)) or []
+        monkeypatch.setitem(cli.SUITES, suite, (fake, cli.SUITES[suite][1]))
+        code, raw = run_to_file(tmp_path, "v.json", ["verify", f"--suite={suite}", "--seed=3", *flags])
+        assert code == 0
+        assert seen == [(ModelParams(1.0, 1.0, 1.0), 3, tuple(reads.values()))]
+        reads.pop("workers", None)
+        assert json.loads(raw)["config"] == {"alpha": 1.0, "beta": 1.0, "mu": 1.0, "seed": 3, "suite": suite, **reads}
+
+    @pytest.mark.parametrize("argv", [["--suite=model", "--n=5"], ["--suite=crt", "--scale=0.1"], ["--suite=local", "--samples=9"]])
+    def test_option_the_suite_does_not_read_is_usage_error(self, argv):
+        assert exit_code(["verify", *argv]) == 2
+
+    def test_config_file_sets_command_options_and_flags_win(self, tmp_path, monkeypatch):
+        from phylonetsim import cli
+
+        seen = []
+        monkeypatch.setitem(cli.SUITES, "crt", (lambda *a: seen.append(a) or [], cli.SUITES["crt"][1]))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a comment\nsuite=crt\nreplicates=16\nn=40\n\nalpha=-0.5\n")
+        assert exit_code(["verify", "--config", str(cfg), "--replicates", "20", "--alpha", "0.3"]) == 0
+        assert seen == [(ModelParams(0.3, 1.0, 1.0), 42, 40, 20, 20_000, 1)]
+
+    @pytest.mark.parametrize("line", ["alpah=0.2", "method=tilted", "workers=2", "config=other.cfg", "seed"])
+    def test_bad_config_key_is_usage_error(self, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"alpha=0.2\n{line}\n")
+        assert exit_code(["analyze", "--config", str(cfg), "--samples", "500"]) == 2
+
+    def test_trajectory_kind_writes_json_only(self):
+        assert exit_code(["simulate", "--kind", "trajectory", "--format", "csv"]) == 2
+        assert exit_code(["simulate", "--kind", "trajectory", "--format", "newick"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["gfun-table", "--z-steps", "1"], ["analyze", "--samples", "1"], ["verify", "--suite", "crt", "--samples", "500", "--replicates", "0"]]
+    )
+    def test_bad_numeric_input_is_usage_error(self, argv, capsys):
+        assert exit_code(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_help_of_every_command(self, capsys):
+        for cmd in ("analyze", "gfun-table", "simulate", "contour", "local-ball", "verify"):
+            assert exit_code([cmd, "--help"]) == 0
+            assert capsys.readouterr().out.startswith(f"usage: phylonetsim {cmd}")

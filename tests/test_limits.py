@@ -36,8 +36,8 @@ def pasted(monkeypatch):
     """(pasted trajectory, network) of every color the limit samplers paste, in order."""
     seen = []
 
-    def recording(params, traj, rng):
-        net = build_color_network(params, traj, rng)
+    def recording(traj, rng):
+        net = build_color_network(traj, rng)
         seen.append((traj, net))
         return net
 

@@ -68,7 +68,7 @@ class TestDecorate:
             for _ in range(4):
                 dec = decorate(params, m, one)
                 path = sample_conditioned_path(params, m, two)
-                ref = build_color_network(params, path, two)
+                ref = build_color_network(path, two)
                 for col in ("parent", "birth_time", "end_time", "end_kind", "end_target", "mutation_points"):
                     assert getattr(dec, col) == getattr(ref, col)
                 assert dec.trajectory.events == ref.trajectory.events == path.events
@@ -212,8 +212,8 @@ class TestSchema2:
         # pasted decorations: negative start times and an event at time 0
         pasted = {}
 
-        def recording(params, traj, rng):
-            net = build_color_network(params, traj, rng)
+        def recording(traj, rng):
+            net = build_color_network(traj, rng)
             pasted[id(net)] = traj
             return net
 
