@@ -8,14 +8,18 @@ the command line, which win.  Identical configurations (including the
 worker count) produce byte-identical output.
 
 JSON output is compact, key-sorted and on a single line (``python -m
-json.tool`` indents it), at schema version 4: networks and local-ball
-vertices carry each decoration as per-lineage columns (see
-`network.ColorNetwork.to_json_dict`).  Schema 3 dropped the local ball's
-``weight`` (its draws are exact and unweighted) and ``config.method``
-(there is one network sampler).  In schema 4, ``config`` holds every
-option the command and its suite read, less ``config``, ``out``,
-``format`` and ``workers``, which change no result; ``verify``'s
-``suite`` moves into it.
+json.tool`` indents it), at schema version 5.  A network is written as its
+``tree``, its ``glue`` list and its ``decorations``: one object of
+network-wide columns, the lineage offsets of the colors and the
+per-lineage columns concatenated, with color-local lineage ids (see
+`network.Decorations.to_json_dict`; schema 4 wrote one object per color).
+A local-ball vertex carries its decoration as per-lineage columns and a
+focal point (see `network.ColorNetwork.to_json_dict`).  Schema 3 dropped
+the local ball's ``weight`` (its draws are exact and unweighted) and
+``config.method`` (there is one network sampler).  In schema 4,
+``config`` holds every option the command and its suite read, less
+``config``, ``out``, ``format`` and ``workers``, which change no result;
+``verify``'s ``suite`` moves into it.
 Exit codes: 0 success, 1 check failure, 2 usage error (an option the
 command does not read, a bad config line, an out-of-range value), 3 numeric
 failure.
@@ -46,7 +50,7 @@ from .model import simulate_trajectory
 from .params import ModelParams
 from .rng import RngStream
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 NUMERIC_ERRORS = (
     PoleError,

@@ -38,12 +38,12 @@ from .model import (
     COALESCENCE,
     DEATH,
     MUTATION,
-    MarkedTrajectory,
+    PathBatch,
     simulate_batch,
     tilted_h_transform,
     tilted_paths,
 )
-from .network import ColorNetwork, build_color_network, decorate_batch
+from .network import ColorNetwork, decorate_batch, realize
 from .params import ModelParams
 from .rng import RngStream, buffered
 
@@ -193,12 +193,14 @@ def _pasted_networks(params: ModelParams, zeta: float, n: int, rng, spinal: bool
     run in one ``tilted_paths`` call: the left half from K, reversed onto
     t < 0, and the right half from j on t >= 0, joined by a time-0 mutation
     when spinal.  A reversed down-jump from state s is marked mutation,
-    death or coalescence in the ratio mu zeta : alpha : (s-1) beta.
+    death or coalescence in the ratio mu zeta : alpha : (s-1) beta.  One
+    ``network.realize`` call assigns the lineages of all n pasted paths.
+    The focal point is the time-0 mutation (spinal) or a uniform one of the
+    K lineages alive at time 0 (focal).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    buf = buffered(rng)
-    gen, lag = buf.generator(), int(spinal)
+    gen, lag = buffered(rng).generator(), int(spinal)
     m_max = max(256, analytics.tilted_offspring(params)[1].size - 1)
     hz = tilted_h_transform(params, zeta, m_max).h[:, 0]
     nu = analytics.nu_circ_pmf(params).probs
@@ -216,28 +218,39 @@ def _pasted_networks(params: ModelParams, zeta: float, n: int, rng, spinal: bool
     left = paths.states[: o[n]]
     before = np.concatenate([[0], left[:-1]])
     before[o[:n]] = K
-    up = np.frombuffer(paths.kinds.encode(), dtype=np.uint8)[: o[n]] == ord(BIRTH)
+    code = np.frombuffer(paths.kinds.encode(), dtype=np.uint8)
+    up = code[: o[n]] == ord(BIRTH)
     s = left[up]
     u = gen.random(s.size) * (params.mu * zeta + params.alpha + (s - 1) * params.beta)
     reversed_kind = np.full(o[n], ord(BIRTH), dtype=np.uint8)
     marks = np.frombuffer((MUTATION + DEATH + COALESCENCE).encode(), dtype=np.uint8)
     reversed_kind[up] = marks[np.searchsorted([params.mu * zeta, params.mu * zeta + params.alpha], u, side="right")]
-    rkinds, before, kinds = reversed_kind.tobytes().decode("ascii"), before.tolist(), paths.kinds
-    times, states, o, K = paths.times.tolist(), paths.states.tolist(), o.tolist(), K.tolist()
+    # network i pastes its left half's events before the absorption, reversed
+    # onto t < 0, the time-0 mutation when spinal, then its right half; src
+    # indexes the pool of left events, time-0 mutations and right events
+    n_left = np.diff(o[: n + 1]) - 1
+    length = n_left + lag + np.diff(o[n:])
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(length, out=offsets[1:])
+    net = np.repeat(np.arange(n), length)
+    p = np.arange(offsets[-1]) - offsets[net]
+    right = p - n_left[net] - lag
+    src = np.where(right >= 0, n * lag + o[n + net] + right, np.where(p < n_left[net], o[net + 1] - 2 - p, o[n] + net))
+    kinds = np.concatenate([reversed_kind, np.full(n * lag, ord(MUTATION), dtype=np.uint8), code[o[n] :]])[src]
+    states = np.concatenate([before, (K - 1)[: n * lag], paths.states[o[n] :]])[src]
+    times = np.concatenate([-paths.times[: o[n]], np.zeros(n * lag), paths.times[o[n] :]])[src]
+    pasted = PathBatch(kinds.tobytes().decode("ascii"), states, times, offsets)
+    store = realize(pasted, gen, -paths.times[o[1 : n + 1] - 1])
+    first = store.offsets[:-1]
+    if spinal:  # the focal point is the time-0 mutation
+        focal = np.flatnonzero(store.end_time == 0.0)
+    else:  # a uniform one of the K lineages alive at time 0
+        alive = np.flatnonzero((store.birth_time <= 0.0) & (store.end_time > 0.0))
+        focal = alive[np.cumsum(K) - K + (gen.random(n) * K).astype(np.int64)]
     nets = []
-    for i in range(n):
-        a, b = o[i], o[i + 1] - 1  # the left half's events before its absorption at b
-        events = [(-times[j], rkinds[j], before[j]) for j in range(b - 1, a - 1, -1)]
-        if spinal:
-            events.append((0.0, MUTATION, K[i] - 1))
-        c, d = o[n + i], o[n + i + 1]
-        events += zip(times[c:d], kinds[c:d], states[c:d])
-        net = build_color_network(MarkedTrajectory(1, events, -times[b]), buf)
-        if spinal:
-            net.focal_point = next(mp for mp in net.mutation_points if mp[1] == 0.0)
-        else:
-            alive = net.alive_at(0.0)
-            net.focal_point = (alive[int(buf.uniform() * len(alive))], 0.0)
+    for i, lid in enumerate((focal - first).tolist()):
+        net = store[i]
+        net.focal_point = (lid, 0.0)
         nets.append(net)
     return nets
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -228,6 +228,14 @@ def h_transform(params: ModelParams, m_max: int = 256) -> HTransform:
     return tables(params).keep(("h", m_max), build)
 
 
+class PlainChain(NamedTuple):
+    """The jump chain as its own h-transform, h = 1: the ``h`` and ``steps``
+    of :class:`HTransform`, with the rate table ``ModelTables.rates`` as steps."""
+
+    h: np.ndarray
+    steps: Callable
+
+
 def tilted_h_transform(params: ModelParams, zeta: float, m_max: int = 256) -> HTransform:
     """The h-transform of the zeta^M-tilted jump chain, kept in its
     ModelTables by (zeta, m_max).
@@ -238,8 +246,11 @@ def tilted_h_transform(params: ModelParams, zeta: float, m_max: int = 256) -> HT
     reads only the jump chain.  A zeta^r that overflows raises
     NumericalFailure, and so does a last column whose term
     m_max zeta^m_max h(k, m_max) is above 1e-9 h(k): the tilted law then has
-    mass beyond the tables.
+    mass beyond the tables.  At zeta = 1, h = 1 at every state: the chain
+    itself on its rate table, with no truncation and no m_max.
     """
+    if zeta == 1.0:
+        return PlainChain(np.ones((2, 1)), tables(params).rates)
 
     def build():
         h = h_transform(params, m_max).h

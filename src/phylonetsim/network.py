@@ -1,24 +1,23 @@
 """Color networks, conditioned color genealogies, and the glued network.
 
-A color's time-embedded subnetwork is realized from its marked trajectory:
-births split a uniformly chosen alive lineage, deaths and mutations stop a
-uniformly chosen one, coalescences merge a uniform unordered pair (one
-lineage continues, the other ends into it).  The genealogy of colors is a
-Galton-Watson tree with offspring M; conditioned on n colors it equals the
-critically tilted tree conditioned on n vertices, sampled here by the
-cycle-lemma rotation.  Each color is decorated with a network drawn from
-the trajectory law given M = its outdegree, by the exact h-transform
-sampler of `model.conditioned_paths`.  Gluing identifies each child
-color's root with the corresponding mutation point and yields a metric
-measure space supporting distance, sampling and contour queries.
+The genealogy of colors is a Galton-Watson tree with offspring M;
+conditioned on n colors it equals the critically tilted tree conditioned on
+n vertices, sampled here by the cycle-lemma rotation.  Each color is
+decorated with a network drawn from the trajectory law given M = its
+outdegree, by the exact h-transform sampler of `model.conditioned_paths`.
+Gluing identifies each child color's root with the corresponding mutation
+point and yields a metric measure space supporting distance, sampling and
+contour queries.
 
-A decoration is stored as per-lineage columns, the in-memory twin of its
-schema-2 JSON form (see `ColorNetwork`).  `decorate_batch` fills them
-for all colors of a network: one `model.conditioned_paths` call draws
-every color's jump chain and event times in lockstep, then `_realize`
-assigns each color's lineages, with no per-event or per-lineage objects.
-The marked trajectory and `Lineage` records are derived from the columns on
-each request and not kept; every reader in this package uses the columns.
+A color's lineages are realized from its jump chain: births split a
+uniformly chosen alive lineage, deaths and mutations stop one, coalescences
+end a uniform lineage into another.  `realize` does this for every path of
+a `model.PathBatch` in lockstep, into one flat store, `Decorations`: every
+color's per-lineage columns concatenated, with lineage offsets, which is
+also the schema-5 JSON form.  Lengths, glue points and the length measure
+are array operations on the store; queries that walk one color read its
+columns as Python lists, and ``decorations[v]`` is color v as a
+`ColorNetwork`, the per-color form of the local limit.
 
 Every glue point is a cut vertex, and every edge is as long as the time it
 spans.  So a shortest path leaves a color only through its root or one of
@@ -35,7 +34,10 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from operator import sub
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +46,9 @@ from .errors import GlueError, RetryBudgetError
 from .model import (
     BIRTH,
     COALESCENCE,
-    DEATH,
     MUTATION,
     MarkedTrajectory,
+    PathBatch,
     conditioned_paths,
 )
 from .params import ModelParams
@@ -70,9 +72,19 @@ class Lineage:
         return self.end_time - self.birth_time
 
 
-# the per-lineage columns of a decoration, and its end kinds
+# the per-lineage columns of a decoration
 _COLUMNS = ("parent", "birth_time", "end_time", "end_kind", "end_target")
-_END_KINDS = {MUTATION, DEATH, COALESCENCE}
+
+
+class Columns(NamedTuple):
+    """One color's lineage columns as Python lists, indexed by lineage id
+    (the fields of `ColorNetwork` that the graph readers use)."""
+
+    parent: list
+    birth_time: list
+    end_time: list
+    end_kind: str
+    end_target: list
 
 
 @dataclass(slots=True)
@@ -132,7 +144,7 @@ class ColorNetwork:
         return [i for i, (b, e) in enumerate(zip(self.birth_time, self.end_time)) if b <= t < e]
 
     def to_json_dict(self) -> dict:
-        """The schema-2 columns and the focal point.
+        """The schema-2 columns and the focal point, the per-decoration form of a local ball.
 
         The column lists are the network's own, not copies: a caller that
         edits them edits the network.  The mutation points and the
@@ -164,85 +176,187 @@ class ColorNetwork:
                 f"not a schema-2 decoration: missing {', '.join(missing)} "
                 f"(schema 2 writes the columns {', '.join(_COLUMNS)} and focal_point)"
             )
-        parent, birth, end, kinds, target = (d[k] for k in _COLUMNS)
-        n = len(birth)
-        if n == 0 or any(len(c) != n for c in (parent, end, kinds, target)):
-            raise ValueError(
-                "schema-2 decoration columns must be nonempty and of equal length, got "
-                + ", ".join(f"{k}: {len(d[k])}" for k in _COLUMNS)
-            )
-        if not set(kinds) <= _END_KINDS:
-            raise ValueError(f"schema-2 end_kind letters must be in 'MDC', got {kinds!r}")
-        mutation_points = [(i, t) for t, i in sorted((end[i], i) for i in range(n) if kinds[i] == MUTATION)]
+        store = Decorations([0, len(d["birth_time"])], *(d[k] for k in _COLUMNS), "schema-2 decoration")
         focal = d["focal_point"]
-        return cls(parent, birth, end, kinds, target, mutation_points, tuple(focal) if focal else None)
+        return cls(*(d[k] for k in _COLUMNS), store.mutation_points(0), tuple(focal) if focal else None)
 
 
-def _realize(kinds: list, times: list, start_time: float, buf: BufferedRng) -> ColorNetwork:
-    """The lineage loop: a color's columns from its jump chain, started in state 1.
+class Decorations:
+    """Every color's lineage columns in one flat store: the decorations of a network.
 
-    A birth splits a uniform alive lineage, a death or a mutation stops
-    one, and a coalescence ends a uniform lineage into another uniform one.
+    Color v owns the lineages ``offsets[v]:offsets[v+1]``.  The columns are
+    those of `ColorNetwork`, concatenated: NumPy arrays with color-local
+    lineage ids, and ``end_kind`` one string.  ``mutations`` holds the flat
+    ids of the lineages ending in a mutation, color after color and in time
+    order within a color, color v's from ``mutation_offsets[v]`` on; the
+    k-th is the glue point of the color's k-th child.  ``lists`` holds them
+    all as Python lists, built on first use, for readers of single values,
+    and ``decorations[v]`` is color v as a `ColorNetwork`.  A color without
+    lineages, columns of another length than the offsets count or an end
+    kind outside "MDC" raise ValueError naming ``what``.  A caller that has
+    the mutation lineages in that order passes them as ``mutations``.
     """
-    parent, birth, end, kind, target = [-1], [start_time], [math.nan], [""], [-1]
-    alive = [0]
-    mutation_points = []
-    uniform = buf.uniform
-    for t, k in zip(times, kinds):
-        if k == BIRTH:
-            i = 0 if len(alive) == 1 else int(uniform() * len(alive))
-            parent.append(alive[i])
-            alive.append(len(birth))
-            birth.append(t)
-            end.append(math.nan)
-            kind.append("")
-            target.append(-1)
-        elif k == COALESCENCE:
-            i = int(uniform() * len(alive))
-            j = int(uniform() * (len(alive) - 1))
-            if j >= i:
-                j += 1
-            ender = alive[j]
-            end[ender], kind[ender], target[ender] = t, COALESCENCE, alive[i]
-            alive[j] = alive[-1]
-            alive.pop()
-        else:  # death or mutation stops a uniform alive lineage
-            i = 0 if len(alive) == 1 else int(uniform() * len(alive))
-            ender = alive[i]
-            end[ender], kind[ender] = t, k
-            if k == MUTATION:
-                mutation_points.append((ender, t))
-            alive[i] = alive[-1]
-            alive.pop()
-    if alive:
-        raise ValueError("trajectory did not absorb all lineages")
-    return ColorNetwork(parent, birth, end, "".join(kind), target, mutation_points)
+
+    def __init__(self, offsets, parent, birth_time, end_time, end_kind: str, end_target, what="decoration",
+                 mutations=None):
+        o = self.offsets = np.asarray(offsets, dtype=np.int64)
+        cols = (parent, birth_time, end_time, end_kind, end_target)
+        if o.size < 1 or o[0] != 0 or (np.diff(o) < 1).any() or any(len(c) != o[-1] for c in cols):
+            raise ValueError(
+                f"{what} columns must hold one or more lineages per color, as many as the offsets count, got "
+                + ", ".join(f"{k}: {len(c)}" for k, c in zip(("offsets", *_COLUMNS), (o, *cols)))
+            )
+        if not isinstance(end_kind, str) or end_kind.strip("MDC"):  # a letter outside "MDC" stops the strip
+            raise ValueError(f"{what} end_kind letters must be in 'MDC', got {end_kind!r}")
+        self.parent, self.end_target = np.asarray(parent, dtype=np.int64), np.asarray(end_target, dtype=np.int64)
+        self.birth_time, self.end_time = np.asarray(birth_time, dtype=float), np.asarray(end_time, dtype=float)
+        self.end_kind = end_kind
+        if mutations is None:
+            mut = np.flatnonzero(np.frombuffer(end_kind.encode(), dtype=np.uint8) == ord(MUTATION))
+            mutations = mut[np.lexsort((self.end_time[mut], np.searchsorted(o, mut, side="right")))]
+        self.mutations = mutations
+        color = np.searchsorted(o, mutations, side="right") - 1
+        self.mutation_offsets = np.zeros(o.size, dtype=np.int64)
+        np.cumsum(np.bincount(color, minlength=o.size - 1), out=self.mutation_offsets[1:])
+
+    @classmethod
+    def stack(cls, nets: list) -> "Decorations":
+        """The store of a list of color networks, in order."""
+        cat = lambda k: list(chain.from_iterable(getattr(d, k) for d in nets))
+        offsets = np.cumsum([0] + [len(d.birth_time) for d in nets])
+        return cls(offsets, *(cat(k) for k in _COLUMNS[:3]), "".join(d.end_kind for d in nets), cat("end_target"))
+
+    @cached_property
+    def lists(self) -> tuple:
+        """(offsets, parent, birth_time, end_time, end_kind, end_target, mutations,
+        mutation_offsets) as Python lists, ``end_kind`` as its string."""
+        arrays = (self.offsets, self.parent, self.birth_time, self.end_time, self.end_target, self.mutations)
+        o, parent, birth, end, target, muts = (x.tolist() for x in arrays)
+        return o, parent, birth, end, self.end_kind, target, muts, self.mutation_offsets.tolist()
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def columns(self, v: int) -> Columns:
+        o, parent, birth, end, kinds, target, _, _ = self.lists
+        a, b = o[v], o[v + 1]
+        return Columns(parent[a:b], birth[a:b], end[a:b], kinds[a:b], target[a:b])
+
+    def mutation_points(self, v: int) -> list:
+        """(lineage id, time) of color v's mutation lineages, in time order."""
+        o, _, _, end, _, _, muts, mo = self.lists
+        return [(g - o[v], end[g]) for g in muts[mo[v] : mo[v + 1]]]
+
+    def __getitem__(self, v: int) -> ColorNetwork:
+        if not 0 <= v < len(self):
+            raise IndexError(f"color {v} outside the {len(self)} colors")
+        return ColorNetwork(*self.columns(v), self.mutation_points(v))
+
+    def lengths(self) -> np.ndarray:
+        """Each color's total length, the fsum of its lineage lengths as in
+        `ColorNetwork.total_length`."""
+        o, seg = self.lists[0], (self.end_time - self.birth_time).tolist()
+        return np.array([math.fsum(seg[a:b]) for a, b in zip(o, o[1:])])
+
+    def to_json_dict(self) -> dict:
+        """The schema-5 form: the lineage offsets and the five columns, concatenated."""
+        return dict(zip(("offsets", *_COLUMNS), self.lists[:6]))
+
+    @classmethod
+    def from_json_dict(cls, d) -> "Decorations":
+        """The store of schema-5 columns; anything else, such as the schema-4
+        list of per-color decorations, raises ValueError naming the schema-5 keys."""
+        keys = ("offsets", *_COLUMNS)
+        if not isinstance(d, dict) or any(k not in d for k in keys):
+            raise ValueError(f"not schema-5 decorations: expected one object with the keys {', '.join(keys)}")
+        return cls(*(d[k] for k in keys), "schema-5")
 
 
-def build_color_network(traj: MarkedTrajectory, rng) -> ColorNetwork:
-    """Realize the lineage structure of a color from its marked trajectory."""
-    if traj.initial_state != 1:
-        raise ValueError("a color starts from a single lineage")
-    return _realize([e[1] for e in traj.events], [e[0] for e in traj.events], traj.start_time, buffered(rng))
+def realize(paths: PathBatch, gen: np.random.Generator, start=0.0) -> Decorations:
+    """The lineages of every path of a batch, realized in lockstep: the store of their colors.
+
+    Path i runs from state 1 at time ``start`` (one value, or one per path)
+    to state 0; anything else raises ValueError.  Each path's alive lineage
+    ids sit in its own slice of one flat array, as long as its largest
+    state.  One uniform per event, then one per coalescence, are drawn
+    first; then every path advances one event per NumPy step: a birth
+    writes its new lineage after the last alive one, and an end moves the
+    last alive lineage into the slot it frees.
+    """
+    o = paths.offsets
+    n, size = o.size - 1, int(o[-1])
+    code = np.frombuffer(paths.kinds.encode(), dtype=np.uint8)
+    length = np.diff(o)
+    path = np.repeat(np.arange(n), length)
+    born = code == ord(BIRTH)
+    alive = paths.states - np.where(born, 1, -1)  # the alive count before each event
+    if n and (length.min() < 1 or (alive[o[:-1]] != 1).any() or paths.states[o[1:] - 1].any()):
+        raise ValueError("a color's path must run from state 1 to state 0")
+    # path i owns the lineages first[i]:first[i+1], its root first, then one per birth
+    first = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(path[born], minlength=n) + 1, out=first[1:])
+    births = np.cumsum(born)
+    new = first[path] + births - (births - born)[o[:-1]][path]
+    top = np.maximum.reduceat(alive, o[:-1])
+    slice0 = np.cumsum(top) - top
+    base = slice0[path]
+    # slots: the alive lineage picked (the parent, the one that stops, or the
+    # coalescence target), the slot freed, the slot written and the slot read
+    # for it; a birth's new id is read from a scratch slot past the slices
+    pick = base + (gen.random(size) * alive).astype(np.int64)
+    freed = pick.copy()
+    coal = np.flatnonzero(code == ord(COALESCENCE))
+    other = (gen.random(coal.size) * (alive[coal] - 1)).astype(np.int64)
+    freed[coal] = base[coal] + other + (other >= pick[coal] - base[coal])
+    last = base + alive - 1
+    write = np.where(born, last + 1, freed)
+    scratch = int(top.sum())
+    read = np.where(born, scratch + np.arange(size), last)
+    slots = np.empty(scratch + size, dtype=np.int64)
+    slots[scratch:] = new
+    slots[slice0] = first[:-1]
+    # one step per event index; the paths of a step touch disjoint slots
+    step = np.arange(size) - o[path]
+    order = np.argsort(step, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(step))]).tolist()
+    pick, freed, write, read = pick[order], freed[order], write[order], read[order]
+    got, gone = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    for a, b in zip(bounds, bounds[1:]):
+        got[a:b] = slots[pick[a:b]]
+        gone[a:b] = slots[freed[a:b]]
+        slots[write[a:b]] = slots[read[a:b]]
+    got[order], gone[order] = got.copy(), gone.copy()
+    # the columns, in flat lineage ids, made color-local
+    lineages = int(first[-1])
+    parent, target = np.full(lineages, -1), np.full(lineages, -1)
+    birth, end, kind = np.empty(lineages), np.empty(lineages), np.empty(lineages, dtype=np.uint8)
+    root = first[path]
+    parent[new[born]] = got[born] - root[born]
+    birth[first[:-1]] = start
+    birth[new[born]] = paths.times[born]
+    ends = ~born
+    end[gone[ends]], kind[gone[ends]] = paths.times[ends], code[ends]
+    target[gone[coal]] = got[coal] - root[coal]
+    # the mutation events, path after path, come in time order within a path
+    mutations = gone[code == ord(MUTATION)]
+    return Decorations(first, parent, birth, end, kind.tobytes().decode("ascii"), target, mutations=mutations)
 
 
-def decorate_batch(params: ModelParams, ms, rng) -> list:
+def decorate_batch(params: ModelParams, ms, rng) -> Decorations:
     """Color networks conditioned on producing exactly ms[i] mutations, one per entry.
 
     One `model.conditioned_paths` call on the buffer's generator draws every
-    jump chain, then `_realize` assigns each one's lineages from the buffer.
-    An m outside the tables' support raises NumericalFailure before any draw.
+    jump chain, then `realize` assigns their lineages from the same
+    generator.  An m outside the tables' support raises NumericalFailure
+    before any draw.
     """
-    buf = buffered(rng)
-    paths = conditioned_paths(params, ms, buf.generator())
-    times, o = paths.times.tolist(), paths.offsets.tolist()
-    return [_realize(paths.kinds[a:b], times[a:b], 0.0, buf) for a, b in zip(o, o[1:])]
+    gen = buffered(rng).generator()
+    return realize(conditioned_paths(params, ms, gen), gen)
 
 
 def decorate(params: ModelParams, m: int, rng) -> ColorNetwork:
     """Color network conditioned on producing exactly m mutations, the batch of one of
-    `decorate_batch`: ``build_color_network(sample_conditioned_path(params, m, buf), buf)``.
-    """
+    `decorate_batch`."""
     return decorate_batch(params, [m], rng)[0]
 
 
@@ -341,8 +455,8 @@ class PointRef:
     offset: float
 
 
-def _color_graph(dec: ColorNetwork) -> tuple:
-    """Metric graph of one decoration.
+def _color_graph(dec) -> tuple:
+    """Metric graph of one decoration, given as `Columns` or a `ColorNetwork`.
 
     Each lineage is cut at its birth, its end, the births it parents and the
     coalescences into it.  Its breakpoints get consecutive node ids in time
@@ -384,7 +498,7 @@ def _color_graph(dec: ColorNetwork) -> tuple:
     return times, first, adj
 
 
-def _color_distance(dec: ColorNetwork, a: tuple, b: tuple) -> float:
+def _color_distance(dec: Columns, a: tuple, b: tuple) -> float:
     """Shortest path inside one decoration between (lineage id, time) points.
 
     Dijkstra from the two breakpoints around a, stopped once both
@@ -415,39 +529,61 @@ def _color_distance(dec: ColorNetwork, a: tuple, b: tuple) -> float:
 
 
 class GluedNetwork:
-    """Genealogy tree of colors with decorations glued at mutation points."""
+    """Genealogy tree of colors with decorations glued at mutation points.
 
-    def __init__(self, tree: GenealogyTree, decorations: list):
+    ``decorations`` is the network's `Decorations` store; a list of
+    `ColorNetwork` is stacked into one.
+    """
+
+    def __init__(self, tree: GenealogyTree, decorations):
+        if not isinstance(decorations, Decorations):
+            decorations = Decorations.stack(decorations)
         if tree.n != len(decorations):
             raise GlueError("one decoration per tree vertex required")
-        for v in range(tree.n):
-            if len(decorations[v].mutation_points) != tree.outdegree(v):
-                raise GlueError(
-                    f"vertex {v}: {len(decorations[v].mutation_points)} mutation points "
-                    f"for outdegree {tree.outdegree(v)}"
-                )
+        points = np.diff(decorations.mutation_offsets)
+        outdegree = np.array([len(c) for c in tree.children], dtype=np.int64)
+        bad = np.flatnonzero(points != outdegree)
+        if bad.size:
+            v = int(bad[0])
+            raise GlueError(f"vertex {v}: {points[v]} mutation points for outdegree {outdegree[v]}")
         self.tree = tree
-        self.decorations = decorations
+        self.decorations = d = decorations
+        # the k-th child in the child lists, parent after parent, is glued to
+        # the k-th mutation lineage; the flat id of each color's glue lineage
+        glued = np.zeros(tree.n, dtype=np.int64)
+        glued[list(chain.from_iterable(tree.children))] = d.mutations
+        start = d.offsets[np.asarray(tree.parent[1:], dtype=np.int64)]
+        t = d.end_time[glued[1:]]
         # time coordinate (height) of each color's root, and the parent's
         # mutation point (lineage id, time) glued to it
-        self.root_height = [0.0] * tree.n
-        self._glue_point = [None] * tree.n
+        self._glue_point = [None, *zip((glued[1:] - start).tolist(), t.tolist())]
+        self.root_height = [0.0, *(t - d.birth_time[start]).tolist()]
+        rh, parent = self.root_height, tree.parent
         for v in range(1, tree.n):
-            p = tree.parent[v]
-            i = tree.children[p].index(v)
-            mp = self._glue_point[v] = decorations[p].mutation_points[i]
-            t_rel = mp[1] - decorations[p].birth_time[0]
-            self.root_height[v] = self.root_height[p] + t_rel
-        self._depth = tree.depths()
-        self.lengths = np.array([d.total_length for d in decorations])
+            rh[v] += rh[parent[v]]
         self._graph = None
-        self._len_cdf = None
-        self._seg_cdfs = None
+        # the columns of each color that distance has searched: uniform pairs
+        # meet in few colors, about half of them in the root color
+        self._searched = {}
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """Each color's total length."""
+        return self.decorations.lengths()
+
+    @cached_property
+    def _depth(self) -> list:
+        return self.tree.depths()
+
+    @cached_property
+    def _length_cdf(self) -> np.ndarray:
+        d = self.decorations
+        return np.cumsum(d.end_time - d.birth_time)
 
     @property
     def total_length(self) -> float:
         """|G|: sum of the decoration lengths (gluing adds no length)."""
-        return math.fsum(float(x) for x in self.lengths)
+        return math.fsum(self.lengths.tolist())
 
     @property
     def n_colors(self) -> int:
@@ -460,18 +596,23 @@ class GluedNetwork:
     # -- metric ------------------------------------------------------------
 
     def _place(self, p: PointRef) -> tuple:
-        """(vertex, lineage, time) of a point; a reference off the network raises ValueError."""
-        if not 0 <= p.vertex < self.tree.n:
-            raise ValueError(f"vertex {p.vertex} outside the {self.tree.n} colors")
-        dec = self.decorations[p.vertex]
-        n = len(dec.birth_time)
-        if not 0 <= p.lineage < n:
-            raise ValueError(f"lineage {p.lineage} outside the {n} lineages of vertex {p.vertex}")
-        b = dec.birth_time[p.lineage]
-        length = dec.end_time[p.lineage] - b
-        if not (0.0 <= p.offset <= length + 1e-12):
-            raise ValueError(f"offset {p.offset} outside lineage of length {length}")
-        return p.vertex, p.lineage, b + p.offset
+        """(vertex, lineage, time, time coordinate) of a point; a reference
+        off the network raises ValueError."""
+        v, i, offset = p.vertex, p.lineage, p.offset
+        lists = self.decorations.lists
+        o, birth = lists[0], lists[2]
+        if not 0 <= v < len(o) - 1:
+            raise ValueError(f"vertex {v} outside the {len(o) - 1} colors")
+        a = o[v]
+        n = o[v + 1] - a
+        if not 0 <= i < n:
+            raise ValueError(f"lineage {i} outside the {n} lineages of vertex {v}")
+        b = birth[a + i]
+        length = lists[3][a + i] - b
+        if not (0.0 <= offset <= length + 1e-12):
+            raise ValueError(f"offset {offset} outside lineage of length {length}")
+        t = b + offset
+        return v, i, t, self.root_height[v] + (t - birth[a])
 
     def distance(self, a: PointRef, b: PointRef) -> float:
         """Shortest-path distance in the metric graph.
@@ -487,7 +628,7 @@ class GluedNetwork:
         inside w, since leaving w and coming back passes one cut vertex
         twice.  Only w's own graph is searched.
         """
-        (u, la, ta), (v, lb, tb) = self._place(a), self._place(b)
+        (u, la, ta, ha), (v, lb, tb, hb) = self._place(a), self._place(b)
         climb = 0.0
         depth, parent = self._depth, self.tree.parent
         ca = cb = -1  # the last child passed on each side
@@ -499,12 +640,15 @@ class GluedNetwork:
             ca, u = u, parent[u]
             cb, v = v, parent[v]
         if ca >= 0:
-            climb += self.time_coordinate(a) - self.root_height[ca]
+            climb += ha - self.root_height[ca]
             la, ta = self._glue_point[ca]
         if cb >= 0:
-            climb += self.time_coordinate(b) - self.root_height[cb]
+            climb += hb - self.root_height[cb]
             lb, tb = self._glue_point[cb]
-        return climb + _color_distance(self.decorations[u], (la, ta), (lb, tb))
+        cols = self._searched.get(u)
+        if cols is None:
+            cols = self._searched[u] = self.decorations.columns(u)
+        return climb + _color_distance(cols, (la, ta), (lb, tb))
 
     def height(self, p: PointRef) -> float:
         """Distance to the root; equals the point's time coordinate.
@@ -516,51 +660,42 @@ class GluedNetwork:
         return self.distance(self.root_point, p)
 
     def time_coordinate(self, p: PointRef) -> float:
-        v, _, t = self._place(p)
-        return self.root_height[v] + (t - self.decorations[v].birth_time[0])
+        return self._place(p)[3]
 
     def max_height(self) -> float:
         """Maximum time coordinate over the network (= max distance to root)."""
-        return max(
-            self.root_height[v] + (max(dec.end_time) - dec.birth_time[0])
-            for v, dec in enumerate(self.decorations)
-        )
+        d = self.decorations
+        top = np.maximum.reduceat(d.end_time, d.offsets[:-1]) - d.birth_time[d.offsets[:-1]]
+        return float((np.asarray(self.root_height) + top).max())
 
     # -- measure -----------------------------------------------------------
 
     def uniform_point(self, rng) -> PointRef:
-        """Point distributed as the normalized length measure."""
+        """Point distributed as the normalized length measure: a lineage
+        drawn by its length from one cumulative sum over all lineages, then
+        a uniform offset on it."""
         buf = buffered(rng)
-        if self._len_cdf is None:
-            self._len_cdf = np.cumsum(self.lengths)
-            self._seg_cdfs = [
-                np.cumsum(np.subtract(dec.end_time, dec.birth_time)) for dec in self.decorations
-            ]
-        v = int(np.searchsorted(self._len_cdf, buf.uniform() * self._len_cdf[-1], side="right"))
-        v = min(v, self.tree.n - 1)
-        cdf = self._seg_cdfs[v]
-        i = min(int(np.searchsorted(cdf, buf.uniform() * cdf[-1], side="right")), len(cdf) - 1)
-        dec = self.decorations[v]
-        return PointRef(v, i, buf.uniform() * (dec.end_time[i] - dec.birth_time[i]))
+        cdf = self._length_cdf
+        g = min(int(np.searchsorted(cdf, buf.uniform() * cdf[-1], side="right")), cdf.size - 1)
+        lists = self.decorations.lists
+        o, birth, end = lists[0], lists[2], lists[3]
+        v = bisect_right(o, g) - 1
+        return PointRef(v, g - o[v], buf.uniform() * (end[g] - birth[g]))
 
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        glue = []
-        for v in range(self.tree.n):
-            for i, c in enumerate(self.tree.children[v]):
-                glue.append([c, v, i])
+        glue = [[c, v, i] for v, children in enumerate(self.tree.children) for i, c in enumerate(children)]
         return {
             "tree": self.tree.to_json_dict(),
-            "decorations": [d.to_json_dict() for d in self.decorations],
+            "decorations": self.decorations.to_json_dict(),
             "glue": glue,
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GluedNetwork":
-        tree = GenealogyTree.from_json_dict(d["tree"])
-        decorations = [ColorNetwork.from_json_dict(x) for x in d["decorations"]]
-        return cls(tree, decorations)
+        """The network of a schema-5 document; a schema-4 one raises ValueError."""
+        return cls(GenealogyTree.from_json_dict(d["tree"]), Decorations.from_json_dict(d["decorations"]))
 
     def _build_graph(self):
         """The whole glued graph: each color's graph, then the glue edges.
@@ -569,7 +704,8 @@ class GluedNetwork:
         each mutation point to the root of the child color glued there.
         """
         graph, heights, colors = [], [], []
-        for v, dec in enumerate(self.decorations):
+        for v in range(self.tree.n):
+            dec = self.decorations.columns(v)
             times, first, adj = _color_graph(dec)
             base = len(graph)
             colors.append((base, times, first))
@@ -610,7 +746,8 @@ class GluedNetwork:
         write or a lineage (vertex, lineage id, time entered, index of its
         next event) still to write from that time on.
         """
-        decs = self.decorations
+        store = self.decorations
+        decs = [store.columns(v) for v in range(self.tree.n)]
         events = [_lineage_events(dec) for dec in decs]
         hybrid = {}
         out = []
@@ -633,7 +770,7 @@ class GluedNetwork:
                 continue
             t, kind = decs[v].end_time[lid], decs[v].end_kind[lid]
             if kind == MUTATION:
-                j = decs[v].mutation_points.index((lid, t))
+                j = store.mutation_points(v).index((lid, t))
                 child = self.tree.children[v][j]
                 out.append("(")
                 stack += [f")mut_v{v}_m{j}:{t - t_from!r}", (child, 0, decs[child].birth_time[0], 0)]
@@ -670,7 +807,7 @@ def sample_network(params: ModelParams, n: int, rng: RngStream) -> GluedNetwork:
 # -- contour ---------------------------------------------------------------
 
 
-def _lineage_events(dec: ColorNetwork) -> list:
+def _lineage_events(dec: Columns) -> list:
     """Per lineage id, the time-ordered (time, "b" | "c", other lineage id) of
     the births off that lineage and the coalescences into it."""
     parent, birth, end, kinds, target = dec.parent, dec.birth_time, dec.end_time, dec.end_kind, dec.end_target
@@ -685,7 +822,7 @@ def _lineage_events(dec: ColorNetwork) -> list:
     return events
 
 
-def _decoration_walk(dec: ColorNetwork, buf: BufferedRng):
+def _decoration_walk(dec: Columns, buf: BufferedRng):
     """Depth-first runs (start_height_rel, length) of the unreticulated tree.
 
     One incoming lineage at each coalescence is detached by a fair coin;
@@ -749,7 +886,7 @@ def contour(G: GluedNetwork, rng: RngStream, grid_size: int = 4096):
     n = G.n_colors
     per_color = []
     for v in range(n):
-        runs = _decoration_walk(G.decorations[v], buf)
+        runs = _decoration_walk(G.decorations.columns(v), buf)
         cum = np.concatenate([[0.0], np.cumsum([r[1] for r in runs])])
         h0 = np.array([r[0] for r in runs])
         per_color.append((cum, h0))

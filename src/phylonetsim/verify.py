@@ -13,9 +13,11 @@ checks that read the events of raw runs take them from
 :func:`path_events`); M-biased paths come from ``model.conditioned_paths``.
 Local-limit checks draw their focal and spinal networks in one batch
 each.  The oracles live here: the pasting of two raw runs
-(:func:`sample_x_mut`) for the M-biased view and the spinal network, and
-the direct network sampler, which grows color trees from raw runs until
-one has n colors, for ``network.sample_network``.  So do the readers of a
+(:func:`sample_x_mut`) for the M-biased view and the spinal network, the
+direct network sampler, which grows color trees from raw runs until one
+has n colors, for ``network.sample_network``, and the per-color lineage
+loop (:func:`build_color_network`) for ``network.realize``.  So do the
+readers of a
 ``model.MarkedTrajectory`` that only checks use (:func:`validate_trajectory`,
 :func:`state_at`, :func:`pre_zero_state`, :func:`mutation_times`) and the
 desk-scale CRT checks on sampled networks (:func:`verify_crt_scaling`).
@@ -507,7 +509,7 @@ def check_nu_circ_sampler(params: ModelParams, seed=8, n=50_000) -> list:
     return [c1, c2]
 
 
-def model_suite(params: ModelParams, seed: int = 42, scale: float = 1.0) -> list:
+def model_suite(params: ModelParams, seed: int, scale: float) -> list:
     n = lambda base: max(2000, int(base * scale))
     checks = [check_trajectory_wellformed([params], seed)]
     checks += check_first_event_law(params, seed + 1, n(40_000))
@@ -743,7 +745,7 @@ def check_derivative_oracles(params: ModelParams, seed=12, n=100_000) -> list:
     return [c1, c2, c3]
 
 
-def analytics_suite(params: ModelParams, seed: int = 42, scale: float = 1.0) -> list:
+def analytics_suite(params: ModelParams, seed: int, scale: float) -> list:
     n = lambda base: max(2000, int(base * scale))
     checks = []
     checks += check_enclosure_soundness(params)
@@ -765,27 +767,93 @@ def analytics_suite(params: ModelParams, seed: int = 42, scale: float = 1.0) -> 
 # -- network suite -----------------------------------------------------------
 
 
-_DECORATION_FIELDS = ("parent", "birth_time", "end_time", "end_kind", "end_target", "mutation_points")
+def build_color_network(traj: model.MarkedTrajectory, rng) -> network.ColorNetwork:
+    """The per-color lineage loop, the law oracle of `network.realize`: a
+    color's columns from its marked trajectory, started in state 1.
+
+    A birth splits a uniform alive lineage, a death or a mutation stops
+    one, and a coalescence ends a uniform lineage into another uniform one,
+    each drawn from the buffer of rng as the events come.
+    """
+    if traj.initial_state != 1:
+        raise ValueError("a color starts from a single lineage")
+    parent, birth, end, kind, target = [-1], [traj.start_time], [math.nan], [""], [-1]
+    alive = [0]
+    mutation_points = []
+    uniform = buffered(rng).uniform
+    for t, k, _ in traj.events:
+        if k == model.BIRTH:
+            i = 0 if len(alive) == 1 else int(uniform() * len(alive))
+            parent.append(alive[i])
+            alive.append(len(birth))
+            birth.append(t)
+            end.append(math.nan)
+            kind.append("")
+            target.append(-1)
+        elif k == model.COALESCENCE:
+            i = int(uniform() * len(alive))
+            j = int(uniform() * (len(alive) - 1))
+            if j >= i:
+                j += 1
+            ender = alive[j]
+            end[ender], kind[ender], target[ender] = t, model.COALESCENCE, alive[i]
+            alive[j] = alive[-1]
+            alive.pop()
+        else:  # death or mutation stops a uniform alive lineage
+            i = 0 if len(alive) == 1 else int(uniform() * len(alive))
+            ender = alive[i]
+            end[ender], kind[ender] = t, k
+            if k == model.MUTATION:
+                mutation_points.append((ender, t))
+            alive[i] = alive[-1]
+            alive.pop()
+    if alive:
+        raise ValueError("trajectory did not absorb all lineages")
+    return network.ColorNetwork(parent, birth, end, "".join(kind), target, mutation_points)
+
+
+def check_realizer_law(params: ModelParams, seed=29, n=20_000, m=3) -> list:
+    """`network.realize` against the per-color loop :func:`build_color_network`,
+    on n colors given M = m each, drawn independently: chi-square on the
+    root lineage's child count, its end kind and the depth (parent steps to
+    the root) of the mutation lineages."""
+    ms = np.full(n, m)
+    buf = BufferedRng(RngStream(seed, 1))
+    paths = model.conditioned_paths(params, ms, buf.generator())
+    samples = (network.decorate_batch(params, ms, RngStream(seed, 0)),
+               [build_color_network(paths.trajectory(i), buf) for i in range(n)])
+    laws = []
+    for decs in samples:
+        children, kinds, depths = [], [], []
+        for d in decs:
+            depth = [0] * len(d.parent)
+            for i in range(1, len(d.parent)):
+                depth[i] = depth[d.parent[i]] + 1
+            children.append(depth.count(1))
+            kinds.append("MDC".index(d.end_kind[0]))
+            depths += [depth[lid] for lid, _ in d.mutation_points]
+        laws.append((children, kinds, depths))
+    names = ("root_children", "root_end_kind", "mutation_depth")
+    return [chi2_two_sample(f"realizer_{k}_m={m}", np.array(a), np.array(b)) for k, a, b in zip(names, *laws)]
 
 
 def check_decoration_consistency(params: ModelParams, seed=13, n_samples=300) -> Check:
-    """Each decoration against the trajectory it was realized from.
+    """Each decoration against the jump chain it was realized from.
 
-    `decorate` keeps only the lineage columns, so its trajectory is redrawn
-    on a twin stream by `sample_conditioned_path`, whose draws it repeats.
-    Checked against that trajectory: the columns the lineage loop builds
-    from it, the derived trajectory, the alive count between events, the
-    mutation points and the total length.
+    `decorate_batch` keeps only the lineage columns, so its chains are
+    redrawn on a twin stream by `model.conditioned_paths`, whose draws it
+    repeats.  Checked against each chain: the derived trajectory, the alive
+    count between events, the mutation points, the total length, and that
+    every parent is alive at its child's birth and every coalescence target
+    at the coalescence.
     """
-    buf, twin = BufferedRng(RngStream(seed)), BufferedRng(RngStream(seed))
+    ms = np.arange(n_samples) % 3
+    store = network.decorate_batch(params, ms, RngStream(seed))
+    paths = model.conditioned_paths(params, ms, BufferedRng(RngStream(seed)).generator())
     ok = True
     worst = 0.0
-    for i in range(n_samples):
-        m = i % 3
-        dec = network.decorate(params, m, buf)
-        tr = model.sample_conditioned_path(params, m, twin)
-        ref = network.build_color_network(tr, twin)
-        ok &= all(getattr(dec, c) == getattr(ref, c) for c in _DECORATION_FIELDS)
+    for i, dec in enumerate(store):
+        tr = paths.trajectory(i)
         ok &= dec.trajectory.events == tr.events and dec.trajectory.start_time == tr.start_time
         s = tr.initial_state
         t_prev = tr.start_time
@@ -793,7 +861,10 @@ def check_decoration_consistency(params: ModelParams, seed=13, n_samples=300) ->
             mid = 0.5 * (t_prev + t)
             ok &= len(dec.alive_at(mid)) == s
             t_prev, s = t, s_after
-        ok &= len(dec.mutation_points) == tr.M == m
+        birth, end = dec.birth_time, dec.end_time
+        ok &= all(birth[p] < birth[c] < end[p] for c, p in enumerate(dec.parent) if p >= 0)
+        ok &= all(birth[g] < end[c] < end[g] for c, g in enumerate(dec.end_target) if g >= 0)
+        ok &= len(dec.mutation_points) == tr.M == ms[i]
         ok &= [mp[1] for mp in dec.mutation_points] == mutation_times(tr)
         worst = max(worst, abs(dec.total_length - tr.L))
     return Check("decoration_consistency", ok and worst <= 1e-9, worst, 1e-9)
@@ -802,8 +873,7 @@ def check_decoration_consistency(params: ModelParams, seed=13, n_samples=300) ->
 def check_decorate_stratum_mean(params: ModelParams, seed=14, n=30_000, m=1) -> Check:
     """Conditioned decoration L, drawn in one batch, against the M=m stratum of
     batched raw runs."""
-    decorations = network.decorate_batch(params, np.full(n, m), RngStream(seed, 0))
-    ls = np.array([d.total_length for d in decorations])
+    ls = network.decorate_batch(params, np.full(n, m), RngStream(seed, 0)).lengths()
     # the first n runs with M = m among batches of 4n raw runs, one substream each
     ref, j = np.empty(0), 0
     while ref.size < n:
@@ -879,9 +949,7 @@ def _direct_network(params: ModelParams, n: int, rng: RngStream):
         if open_slots or len(kept) != n:
             continue
         tree = network.GenealogyTree.from_preorder_outdegrees([m for _, _, m in kept])
-        return network.GluedNetwork(
-            tree, [network.build_color_network(batch.trajectory(i), buf) for batch, i, _ in kept]
-        )
+        return network.GluedNetwork(tree, [build_color_network(batch.trajectory(i), buf) for batch, i, _ in kept])
     raise RetryBudgetError(f"direct sampler missed n={n} colors", max_retries, 1.0 / max_retries)
 
 
@@ -1077,9 +1145,10 @@ def check_contour(params: ModelParams, seed=21, n=12) -> list:
     return [c1, c2, c3]
 
 
-def network_suite(params: ModelParams, seed: int = 42, scale: float = 1.0) -> list:
+def network_suite(params: ModelParams, seed: int, scale: float) -> list:
     n = lambda base: max(500, int(base * scale))
     checks = [check_decoration_consistency(params, seed + 20)]
+    checks += check_realizer_law(params, seed + 29, n(20_000))
     checks.append(check_decorate_stratum_mean(params, seed + 21, n(30_000)))
     checks += check_genealogy_methods(params, seed + 22, 6, n(20_000))
     checks += check_tilted_vs_direct(params, seed + 23, 4, n(4000))
@@ -1114,6 +1183,13 @@ def _crt_replicate(args):
     )
 
 
+def _check_counts(n: int, replicates: int) -> None:
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if replicates < 2:
+        raise ValueError("replicates must be >= 2: a standard error needs two draws")
+
+
 def verify_crt_scaling(
     params: ModelParams,
     n: int,
@@ -1132,10 +1208,7 @@ def verify_crt_scaling(
     each and are reduced in stream order, so results do not depend on the
     worker count.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if replicates < 2:
-        raise ValueError("replicates must be >= 2: a standard error needs two draws")
+    _check_counts(n, replicates)
     eu = constants.EUstar.value
     sig = math.sqrt(constants.sigma_hat_sq)
     base = rng.substream(900_003)
@@ -1160,23 +1233,20 @@ def verify_crt_scaling(
     mean_maxh = limits.Estimate(float(maxh.mean()), float(maxh.std()) / math.sqrt(replicates), replicates)
     target_maxh = 2.0 * eu / sig * EXCURSION_SUP_MEAN
     return {
-        "n": n,
-        "replicates": replicates,
         "mean_size_per_color": asdict(mean_size),
-        "ell": asdict(constants.ell),
-        "size_check_passed": mean_size.overlaps(constants.ell),
         "mean_max_height_rescaled": asdict(mean_maxh),
         "max_height_target": target_maxh,
         "max_height_rel_err": abs(mean_maxh.value - target_maxh) / target_maxh,
         "mean_sup_deviation_rescaled": float(supdev.mean()),
-        "sup_deviation_se": float(supdev.std()) / math.sqrt(replicates),
         "mean_height_correlation": float(corr.mean()),
     }
 
 
 def crt_suite(params: ModelParams, seed: int, n: int, replicates: int, n_samples: int, workers: int) -> list:
     """The CRT constants, the size check at n colors, the maximum height at 2n and the
-    sup-deviation trend over n/4, n and 4n, with fewer replicates as n grows."""
+    sup-deviation trend over n/4, n and 4n, with fewer replicates as n grows.
+    Counts below 2 raise ValueError before anything is drawn."""
+    _check_counts(n, replicates)
     checks = []
     cc = limits.crt_constants(params, RngStream(seed, 1), n_samples=n_samples)
     checks.append(

@@ -106,7 +106,8 @@ class TestSimulate:
         assert len(doc["networks"]) == 2
         net = doc["networks"][0]
         assert set(net) == {"tree", "decorations", "glue"}
-        assert len(net["decorations"]) == 6
+        assert set(net["decorations"]) == {"offsets", "parent", "birth_time", "end_time", "end_kind", "end_target"}
+        assert len(net["decorations"]["offsets"]) == 7
 
     def test_network_reads_back_as_sampled(self, tmp_path):
         code, raw = run_to_file(tmp_path, "n.json", ["simulate", "--n", "200", "--seed", "21"])
@@ -251,7 +252,7 @@ class TestLocalBall:
         )
         assert code == 0
         doc = json.loads(raw)
-        assert doc["schema_version"] == SCHEMA_VERSION == 4
+        assert doc["schema_version"] == SCHEMA_VERSION == 5
         assert "weight" not in doc["local_ball"] and "method" not in doc["config"]
 
 

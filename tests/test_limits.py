@@ -21,8 +21,15 @@ from phylonetsim.limits import (
     sample_spinal_network,
     spinal_network_batch,
 )
-from phylonetsim.model import MUTATION, TrajectoryStats, simulate_batch, tilted_h_transform, tilted_paths
-from phylonetsim.network import ColorNetwork, build_color_network
+from phylonetsim.model import (
+    MUTATION,
+    MarkedTrajectory,
+    TrajectoryStats,
+    simulate_batch,
+    tilted_h_transform,
+    tilted_paths,
+)
+from phylonetsim.network import ColorNetwork, realize
 from phylonetsim.rng import BufferedRng
 import phylonetsim.limits as limits
 import phylonetsim.verify as V
@@ -33,15 +40,14 @@ P222 = ModelParams(0.2, 0.2, 0.2)
 
 @pytest.fixture
 def pasted(monkeypatch):
-    """(pasted trajectory, network) of every color the limit samplers paste, in order."""
+    """The pasted trajectory of every color the limit samplers realize, in order."""
     seen = []
 
-    def recording(traj, rng):
-        net = build_color_network(traj, rng)
-        seen.append((traj, net))
-        return net
+    def recording(paths, gen, start):
+        seen.extend(MarkedTrajectory(1, paths.trajectory(i).events, float(t)) for i, t in enumerate(start))
+        return realize(paths, gen, start)
 
-    monkeypatch.setattr(limits, "build_color_network", recording)
+    monkeypatch.setattr(limits, "realize", recording)
     return seen
 
 
@@ -115,6 +121,15 @@ class TestCrtConstants:
         assert abs(cc.zeta - 1.0) <= 1e-6
         assert cc.EUstar.overlaps(cc.EUstar_formula)
         assert reversal_mark_factor(p, cc.zeta, 5) == pytest.approx(1.0, abs=1e-5)
+
+    def test_crt_suite_checks_counts_first(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("crt_constants ran before the counts were checked")
+
+        monkeypatch.setattr(limits, "crt_constants", fail)
+        for n, replicates in ((50, 1), (50, 0), (1, 10)):
+            with pytest.raises(ValueError, match="must be >= 2"):
+                V.crt_suite(P111, 1, n, replicates, 500, 1)
 
     def test_three_batched_calls(self, monkeypatch):
         calls = []
@@ -201,22 +216,21 @@ class TestFocalSpinal:
         buf = BufferedRng(RngStream(508))
         for _ in range(100):
             net = sample_focal_network(P111, 1.0, buf)
-            traj, kept = pasted[-1]
-            assert kept is net and len(net.alive_at(0.0)) == V.pre_zero_state(traj)
+            assert len(net.alive_at(0.0)) == V.pre_zero_state(pasted[-1])
 
     def test_derived_trajectory_is_the_pasted_one(self, pasted):
         # a network keeps only its columns; the trajectory read from them must be
         # the pasted one, negative start time and time-0 event included
         zeta = zeta_tilt(P111).zeta
         buf = BufferedRng(RngStream(512))
+        nets = []
         for _ in range(30):
-            sample_focal_network(P111, zeta, buf)
-            sample_spinal_network(P111, zeta, buf)
+            nets += [sample_focal_network(P111, zeta, buf), sample_spinal_network(P111, zeta, buf)]
         for i in range(5):
-            sample_local_ball(P111, zeta, 2, RngStream(513, i))
-        assert any(traj.start_time < 0 for traj, _ in pasted)
-        assert any(e[0] == 0.0 for traj, _ in pasted for e in traj.events)
-        for traj, net in pasted:
+            nets.append(sample_local_ball(P111, zeta, 2, RngStream(513, i)).focal)
+        assert any(traj.start_time < 0 for traj in pasted)
+        assert any(e[0] == 0.0 for traj in pasted for e in traj.events)
+        for traj, net in zip(pasted, nets, strict=True):
             derived = net.trajectory
             assert derived.initial_state == traj.initial_state == 1
             assert derived.start_time == traj.start_time
@@ -264,9 +278,16 @@ class TestTiltedChain:
             sample_focal_network(params, zeta, RngStream(520))
 
     def test_mass_beyond_the_tables_is_a_typed_error(self):
-        # zeta = 1 at a point with E[M] = 5130: P(M > 256) is far from 0
+        # zeta = 0.99 at a point with E[M] = 5130: the tilted law has mass past m_max = 256
         with pytest.raises(NumericalFailure, match="beyond m_max"):
-            sample_spinal_network(ModelParams(0.05, 0.02, 0.5), 1.0, RngStream(521))
+            sample_spinal_network(ModelParams(0.05, 0.02, 0.5), 0.99, RngStream(521))
+
+    def test_zeta_one_is_the_plain_chain(self):
+        # h = 1 at every state, whatever E[M]: no table and no m_max to run out of
+        params = ModelParams(0.05, 0.02, 0.5)
+        assert np.array_equal(tilted_h_transform(params, 1.0, 10).h, np.ones((2, 1)))
+        nets = spinal_network_batch(params, 1.0, 10, BufferedRng(RngStream(1)))
+        assert len(nets) == 10 and all(net.end_kind[net.focal_point[0]] == MUTATION for net in nets)
 
 
 class TestLocalBall:

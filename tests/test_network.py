@@ -7,15 +7,15 @@ import pytest
 from phylonetsim import ModelParams, RngStream, analytics, limits
 from phylonetsim.cli import NUMERIC_ERRORS
 from phylonetsim.errors import GlueError, NumericalFailure, RetryBudgetError
-from phylonetsim.model import BIRTH, COALESCENCE, DEATH, MUTATION, sample_conditioned_path
+from phylonetsim.model import BIRTH, COALESCENCE, DEATH, MUTATION, MarkedTrajectory, conditioned_paths
 from phylonetsim.network import (
     ColorNetwork,
     GenealogyTree,
     GluedNetwork,
     PointRef,
-    build_color_network,
     contour,
     decorate,
+    realize,
     sample_genealogy_tree,
     sample_network,
 )
@@ -62,19 +62,30 @@ class TestDecorate:
         "params", [P111, ModelParams(0.5, 2.0, 0.5), ModelParams(2.0, 0.5, 0.1), ModelParams(0.3, 0.3, 1.0)]
     )
     def test_one_pass_equals_path_then_lineages(self, params):
-        # decorate draws exactly what the path sampler and the lineage loop draw on one stream
+        # decorate draws exactly what the path sampler and the lockstep realizer draw on one stream
         one, two = BufferedRng(RngStream(441)), BufferedRng(RngStream(441))
         for m in range(9):
             for _ in range(4):
                 dec = decorate(params, m, one)
-                path = sample_conditioned_path(params, m, two)
-                ref = build_color_network(path, two)
+                paths = conditioned_paths(params, [m], two.generator())
+                ref = realize(paths, two.generator())[0]
                 for col in ("parent", "birth_time", "end_time", "end_kind", "end_target", "mutation_points"):
                     assert getattr(dec, col) == getattr(ref, col)
-                assert dec.trajectory.events == ref.trajectory.events == path.events
-                assert dec.trajectory.start_time == path.start_time == 0.0
+                assert dec.trajectory.events == ref.trajectory.events == paths.trajectory(0).events
+                assert dec.trajectory.start_time == 0.0
                 assert dec.lineages == ref.lineages and dec.lineages is not dec.lineages
         assert one.uniform() == two.uniform()
+
+    def test_lockstep_realizer_law(self):
+        # 20 000 colors at m = 3 against the per-color lineage loop of verify
+        for c in V.check_realizer_law(P111, seed=442, n=20_000, m=3):
+            assert c.passed, (c.name, c.statistic, c.detail)
+
+    def test_realize_rejects_paths_not_from_state_one(self):
+        paths = conditioned_paths(P111, [2, 1], BufferedRng(RngStream(443)).generator())
+        two = paths._replace(states=paths.states + 1)
+        with pytest.raises(ValueError, match="state 1"):
+            realize(two, BufferedRng(RngStream(444)).generator())
 
     def test_coalescence_needs_two(self):
         # a trajectory sitting at state 1 can only end by death or mutation
@@ -191,12 +202,18 @@ def _assert_same_decoration(back, dec):
 def _assert_network_round_trip(G):
     back = GluedNetwork.from_json_dict(_through_json(G.to_json_dict()))
     assert back.tree.parent == G.tree.parent and back.tree.children == G.tree.children
+    for col in ("offsets", "parent", "birth_time", "end_time", "end_target", "mutations"):
+        assert np.array_equal(getattr(back.decorations, col), getattr(G.decorations, col))
+    assert back.decorations.end_kind == G.decorations.end_kind
     for b, d in zip(back.decorations, G.decorations, strict=True):
         _assert_same_decoration(b, d)
+    assert back.to_edge_csv() == G.to_edge_csv()
+    assert back.to_extended_newick() == G.to_extended_newick()
 
 
 class TestSchema2:
-    """The columnar decoration form reads back exactly what was drawn."""
+    """The columnar forms read back exactly what was drawn: schema 5 for a
+    network, schema 2 for one decoration."""
 
     @pytest.mark.parametrize(
         "params", [P111, ModelParams(0.5, 2.0, 0.5), ModelParams(2.0, 0.5, 0.1), ModelParams(0.3, 0.3, 1.0)]
@@ -210,31 +227,31 @@ class TestSchema2:
 
     def test_local_ball_round_trip_exact(self, monkeypatch):
         # pasted decorations: negative start times and an event at time 0
-        pasted = {}
+        pasted = []
 
-        def recording(traj, rng):
-            net = build_color_network(traj, rng)
-            pasted[id(net)] = traj
-            return net
+        def recording(paths, gen, start):
+            pasted.append(MarkedTrajectory(1, paths.trajectory(0).events, float(start[0])))
+            return realize(paths, gen, start)
 
-        monkeypatch.setattr(limits, "build_color_network", recording)
+        monkeypatch.setattr(limits, "realize", recording)
         zeta = analytics.zeta_tilt(P111).zeta
         buf = BufferedRng(RngStream(436))
-        decs = []
+        decs, focal = [], []
         for _ in range(20):
             decs += [limits.sample_focal_network(P111, zeta, buf), limits.sample_spinal_network(P111, zeta, buf)]
         for i in range(5):
             ball = limits.sample_local_ball(P111, zeta, 2, RngStream(437, i))
             decs += [v.decoration for v in ball.vertices]
+            focal.append(ball.focal)
         assert all(d.focal_point is not None for d in decs[:40])
-        assert all(id(d) in pasted for d in decs[:40])
-        assert any(traj.start_time < 0 for traj in pasted.values())
+        assert any(traj.start_time < 0 for traj in pasted)
         for dec in decs:
             back = ColorNetwork.from_json_dict(_through_json(dec.to_json_dict()))
             _assert_same_decoration(back, dec)
-            if id(dec) in pasted:  # the trajectory read back is the one pasted
-                assert back.trajectory.events == pasted[id(dec)].events
-                assert back.trajectory.start_time == pasted[id(dec)].start_time
+        for dec, traj in zip(decs[:40] + focal, pasted, strict=True):
+            back = ColorNetwork.from_json_dict(_through_json(dec.to_json_dict()))
+            assert back.trajectory.events == traj.events  # the trajectory read back is the one pasted
+            assert back.trajectory.start_time == traj.start_time
 
     def test_columns_only(self):
         dec = decorate(P111, 3, BufferedRng(RngStream(438)))
@@ -258,10 +275,15 @@ class TestSchema2:
             with pytest.raises(ValueError, match="schema-2"):
                 ColorNetwork.from_json_dict(doc)
         G = sample_network(P111, 4, RngStream(440))
-        d = G.to_json_dict()
-        d["decorations"][1] = schema1
-        with pytest.raises(ValueError, match="schema-2"):
-            GluedNetwork.from_json_dict(d)
+        schema4 = G.to_json_dict()
+        schema4["decorations"] = [dec.to_json_dict() for dec in G.decorations]
+        short = G.to_json_dict()
+        short["decorations"] = dict(short["decorations"], end_time=short["decorations"]["end_time"][:-1])
+        for doc in (schema4, short):
+            with pytest.raises(ValueError, match="schema-5"):
+                GluedNetwork.from_json_dict(doc)
+        with pytest.raises(ValueError, match="offsets, parent, birth_time, end_time, end_kind, end_target"):
+            GluedNetwork.from_json_dict(schema4)
 
 
 class TestSamplers:
